@@ -29,6 +29,7 @@ package energyprop
 import (
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
+	"energyprop/internal/device"
 	"energyprop/internal/ep"
 	"energyprop/internal/gpusim"
 	"energyprop/internal/hetero"
@@ -176,7 +177,9 @@ func DistributeWorkload(n int, procs []*ProcessorProfile) ([]Distribution, error
 
 // PaperPlatform returns the paper's Fig 1 device ensemble (Haswell, K40c,
 // P100) ready for workload distribution.
-func PaperPlatform(unitN int) []HeteroProcessor { return hetero.PaperPlatform(unitN) }
+func PaperPlatform(unitN int) []HeteroProcessor {
+	return device.PaperPlatform(device.AppDense, unitN)
+}
 
 // DistributeAcross profiles the processors and returns the Pareto-optimal
 // distributions of totalUnits across them.

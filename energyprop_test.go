@@ -2,6 +2,7 @@ package energyprop_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"energyprop"
@@ -56,7 +57,7 @@ func TestFacadeParallelSweep(t *testing.T) {
 		t.Fatalf("parallel sweep: %d results, %d ticks, want %d", len(par), ticks, len(serial))
 	}
 	for i := range serial {
-		if *par[i] != *serial[i] {
+		if !reflect.DeepEqual(par[i], serial[i]) {
 			t.Fatalf("result %d differs between serial and parallel facade sweeps", i)
 		}
 	}
@@ -148,7 +149,7 @@ func TestFacadeRanksAndHaswell(t *testing.T) {
 	r, err := m.RunGEMM(energyprop.GEMMApp{
 		N:      4096,
 		Config: energyprop.ThreadgroupConfig{Groups: 2, ThreadsPerGroup: 4},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

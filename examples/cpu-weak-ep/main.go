@@ -29,7 +29,7 @@ func main() {
 	var all []obs
 	var utils, powers []float64
 	for _, cfg := range m.EnumerateConfigs() {
-		r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: dense.VariantPacked})
+		r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: dense.VariantPacked}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

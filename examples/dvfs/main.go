@@ -42,7 +42,7 @@ func main() {
 			Label: fmt.Sprintf("%.1fGHz", levels[i]), Time: r.Seconds, Energy: r.DynEnergyJ})
 	}
 	for _, c := range m.EnumerateConfigs() {
-		r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: c, Variant: dense.VariantPacked})
+		r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: c, Variant: dense.VariantPacked}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"energyprop"
+	"energyprop/internal/device"
 	"energyprop/internal/hetero"
 	"energyprop/internal/optimize"
 )
@@ -19,7 +20,7 @@ func main() {
 	const unitN = 2048
 	const totalUnits = 12
 
-	procs := hetero.PaperPlatform(unitN)
+	procs := device.PaperPlatform(device.AppDense, unitN)
 	fmt.Printf("distributing %d products of %dx%d across:\n", totalUnits, unitN, unitN)
 	for _, p := range procs {
 		s, e, err := p.RunUnits(1)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"energyprop/internal/device"
-	"energyprop/internal/store"
 )
 
 // recordBytes runs the workload's full campaign under the spec and
@@ -16,7 +15,7 @@ import (
 // bytes.Equal.
 func recordBytes(t testing.TB, dev device.Device, w device.Workload, spec Spec) []byte {
 	t.Helper()
-	res, err := Run(dev, w, spec)
+	res, err := runAll(dev, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +23,7 @@ func recordBytes(t testing.TB, dev device.Device, w device.Workload, spec Spec) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.SaveCampaign(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return marshalRecord(t, rec)
 }
 
 // TestCachedCampaignByteIdentical is the cache's correctness bar: with
@@ -94,7 +89,7 @@ func TestCacheKeySeparatesSeedsAndWorkloads(t *testing.T) {
 	w2 := device.Workload{N: w.N, Products: 4}
 	spec3 := DefaultSpec(1)
 	spec3.Cache = cache
-	if _, err := Run(dev, w2, spec3); err != nil {
+	if _, err := runAll(dev, w2, spec3); err != nil {
 		t.Fatal(err)
 	}
 	if s := cache.Stats(); s.Hits != 0 {
@@ -155,7 +150,7 @@ func TestCacheEvictionBoundHolds(t *testing.T) {
 	spec := DefaultSpec(9)
 	spec.Workers = 1
 	spec.Cache = NewPointCache(bound)
-	if _, err := Run(dev, w, spec); err != nil {
+	if _, err := runAll(dev, w, spec); err != nil {
 		t.Fatal(err)
 	}
 	s := spec.Cache.Stats()
@@ -172,7 +167,7 @@ func TestCacheEvictionBoundHolds(t *testing.T) {
 func sweepElapsed(t testing.TB, dev device.Device, w device.Workload, spec Spec) time.Duration {
 	t.Helper()
 	start := time.Now()
-	if _, err := Run(dev, w, spec); err != nil {
+	if _, err := runAll(dev, w, spec); err != nil {
 		t.Fatal(err)
 	}
 	return time.Since(start)
@@ -216,7 +211,7 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			spec := DefaultSpec(1)
 			spec.Cache = NewPointCache(0)
-			if _, err := Run(dev, w, spec); err != nil {
+			if _, err := runAll(dev, w, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -224,13 +219,13 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 	b.Run("warm-overlap=100", func(b *testing.B) {
 		spec := DefaultSpec(1)
 		spec.Cache = NewPointCache(0)
-		if _, err := Run(dev, w, spec); err != nil {
+		if _, err := runAll(dev, w, spec); err != nil {
 			b.Fatal(err) // prime
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(dev, w, spec); err != nil {
+			if _, err := runAll(dev, w, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -240,7 +235,7 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 		for _, seed := range []int64{1, 2} {
 			spec := DefaultSpec(seed)
 			spec.Cache = cache
-			if _, err := Run(dev, w, spec); err != nil {
+			if _, err := runAll(dev, w, spec); err != nil {
 				b.Fatal(err) // prime both halves
 			}
 		}
@@ -251,7 +246,7 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 			// pair with 50% overlap against either one alone.
 			spec := DefaultSpec(int64(1 + i%2))
 			spec.Cache = cache
-			if _, err := Run(dev, w, spec); err != nil {
+			if _, err := runAll(dev, w, spec); err != nil {
 				b.Fatal(err)
 			}
 		}

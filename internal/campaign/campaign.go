@@ -130,36 +130,12 @@ type Result struct {
 	TotalRuns int
 }
 
-// Run sweeps every valid configuration of the workload on the device
-// under the campaign spec, fanning the configurations out across
-// spec.Workers goroutines. Use RunContext to cancel a campaign mid-sweep.
-func Run(dev device.Device, w device.Workload, spec Spec) (*Result, error) {
-	return RunContext(context.Background(), dev, w, spec)
-}
-
-// RunContext is Run with cancellation: a cancelled context stops the
+// RunConfigs measures a configuration list (each valid for the workload;
+// dev.Configs(w) for a full sweep) and materializes the result — Stream
+// into a ResultSink. Points come back in the given order, but each
+// point's measured value depends only on (spec.Seed, config), not on its
+// position in the list or on spec.Workers. A cancelled context stops the
 // worker pool between configurations and returns ctx.Err().
-func RunContext(ctx context.Context, dev device.Device, w device.Workload, spec Spec) (*Result, error) {
-	if dev == nil {
-		return nil, errors.New("campaign: nil device")
-	}
-	configs, err := dev.Configs(w)
-	if err != nil {
-		return nil, err
-	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("campaign: workload %v admits no configurations", w)
-	}
-	return RunConfigs(ctx, dev, w, configs, spec)
-}
-
-// RunConfigs measures an explicit configuration list (each valid for the
-// workload) rather than the full enumeration — the entry point for
-// re-measuring a front, resuming a partial campaign, single-point
-// service measurements, and the order-independence tests. Points come
-// back in the given order, but each point's measured value depends only
-// on (spec.Seed, config), not on its position in the list or on
-// spec.Workers.
 func RunConfigs(ctx context.Context, dev device.Device, w device.Workload, configs []device.Config, spec Spec) (*Result, error) {
 	if dev == nil {
 		return nil, errors.New("campaign: nil device")
@@ -256,30 +232,13 @@ func cachedPoint(ctx context.Context, dev device.Device, w device.Workload, c de
 }
 
 // measurePoint runs the paper's statistical loop for one configuration:
-// the per-config unit of work the pool fans out. It builds its own meter
-// (seeded from the config identity), so concurrent points share no
-// mutable state.
+// the per-config unit of work the pool fans out.
 func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
 	out, err := dev.Run(ctx, w, c)
 	if err != nil {
 		return PointReport{}, err
 	}
-	m := meter.NewMeter(dev.Spec().IdlePowerW, device.ConfigSeed(spec.Seed, c))
-	m.NoiseFrac = spec.NoiseFrac
-	m.SpikeProb = spec.SpikeProb
-	// Short kernels cannot be resolved at the WattsUp's 1 Hz: the real
-	// methodology loops the kernel to stretch the run; equivalently we
-	// sample at least 50 points per run.
-	if d := out.Run.Duration(); d < 50 {
-		m.SampleInterval = d / 50
-	}
-	meas, err := stats.Measure(spec.Measure, func() (float64, error) {
-		rep, err := m.MeasureRun(out.Run)
-		if err != nil {
-			return 0, err
-		}
-		return rep.DynamicEnergyJ, nil
-	})
+	meas, err := meterLoop(dev, out, c, spec, spec.Seed)
 	if err != nil {
 		return PointReport{}, fmt.Errorf("campaign: config %v: %w", c, err)
 	}
@@ -291,6 +250,29 @@ func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c d
 		HalfWidthJ:      meas.HalfWidth,
 		Runs:            meas.Runs,
 	}, nil
+}
+
+// meterLoop samples one model run's power profile with a fresh meter,
+// seeded from (seed, config), until the spec's statistical criterion
+// converges. The meter is built per call, so concurrent points share no
+// mutable state.
+func meterLoop(dev device.Device, out *device.Outcome, c device.Config, spec Spec, seed int64) (*stats.Measurement, error) {
+	m := meter.NewMeter(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
+	m.NoiseFrac = spec.NoiseFrac
+	m.SpikeProb = spec.SpikeProb
+	// Short kernels cannot be resolved at the WattsUp's 1 Hz: the real
+	// methodology loops the kernel to stretch the run; equivalently we
+	// sample at least 50 points per run.
+	if d := out.Run.Duration(); d < 50 {
+		m.SampleInterval = d / 50
+	}
+	return stats.Measure(spec.Measure, func() (float64, error) {
+		rep, err := m.MeasureRun(out.Run)
+		if err != nil {
+			return 0, err
+		}
+		return rep.DynamicEnergyJ, nil
+	})
 }
 
 // CompareConfigs measures two configurations of the same workload and
@@ -315,18 +297,7 @@ func CompareConfigs(dev device.Device, w device.Workload, c1, c2 device.Config, 
 		}
 		// The second sample uses an offset campaign seed so the two
 		// measurements are independent even when c1 == c2.
-		m := meter.NewMeter(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
-		m.NoiseFrac = spec.NoiseFrac
-		if d := out.Run.Duration(); d < 50 {
-			m.SampleInterval = d / 50
-		}
-		meas, err := stats.Measure(spec.Measure, func() (float64, error) {
-			rep, err := m.MeasureRun(out.Run)
-			if err != nil {
-				return 0, err
-			}
-			return rep.DynamicEnergyJ, nil
-		})
+		meas, err := meterLoop(dev, out, c, spec, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -25,6 +26,16 @@ func openDev(t testing.TB, name string) device.Device {
 	return d
 }
 
+// runAll measures every configuration of the workload: the full-sweep
+// campaign most tests exercise.
+func runAll(dev device.Device, w device.Workload, spec Spec) (*Result, error) {
+	configs, err := dev.Configs(w)
+	if err != nil {
+		return nil, err
+	}
+	return RunConfigs(context.Background(), dev, w, configs, spec)
+}
+
 // configByKey picks one enumerated configuration by its canonical key.
 func configByKey(t testing.TB, dev device.Device, w device.Workload, key string) device.Config {
 	t.Helper()
@@ -42,21 +53,21 @@ func configByKey(t testing.TB, dev device.Device, w device.Workload, key string)
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, smallWorkload(), DefaultSpec(1)); err == nil {
+	if _, err := RunConfigs(context.Background(), nil, smallWorkload(), nil, DefaultSpec(1)); err == nil {
 		t.Error("nil device: want error")
 	}
 	spec := DefaultSpec(1)
 	spec.NoiseFrac = -1
-	if _, err := Run(openDev(t, "p100"), smallWorkload(), spec); err == nil {
+	if _, err := runAll(openDev(t, "p100"), smallWorkload(), spec); err == nil {
 		t.Error("negative noise: want error")
 	}
-	if _, err := Run(openDev(t, "p100"), device.Workload{N: 0, Products: 1}, DefaultSpec(1)); err == nil {
+	if _, err := runAll(openDev(t, "p100"), device.Workload{N: 0, Products: 1}, DefaultSpec(1)); err == nil {
 		t.Error("bad workload: want error")
 	}
 }
 
 func TestCampaignMeasuresAccurately(t *testing.T) {
-	res, err := Run(openDev(t, "p100"), smallWorkload(), DefaultSpec(3))
+	res, err := runAll(openDev(t, "p100"), smallWorkload(), DefaultSpec(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +91,11 @@ func TestCampaignMeasuresAccurately(t *testing.T) {
 
 func TestCampaignDeterministicPerSeed(t *testing.T) {
 	dev := openDev(t, "p100")
-	a, err := Run(dev, smallWorkload(), DefaultSpec(5))
+	a, err := runAll(dev, smallWorkload(), DefaultSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(dev, smallWorkload(), DefaultSpec(5))
+	b, err := runAll(dev, smallWorkload(), DefaultSpec(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestCampaignDeterministicPerSeed(t *testing.T) {
 			t.Fatal("same seed must reproduce measurements")
 		}
 	}
-	c, err := Run(dev, smallWorkload(), DefaultSpec(6))
+	c, err := runAll(dev, smallWorkload(), DefaultSpec(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +126,7 @@ func TestCampaignAnalyticMode(t *testing.T) {
 	if !ok {
 		t.Fatal("k40c does not provide an analytic variant")
 	}
-	res, err := Run(ap.Analytic(), smallWorkload(), DefaultSpec(2))
+	res, err := runAll(ap.Analytic(), smallWorkload(), DefaultSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestMeasuredFrontMatchesTrueFront(t *testing.T) {
 	// The methodology's point: measured values must support the same
 	// bi-objective conclusions as the ground truth.
 	w := device.Workload{N: 10240, Products: 8}
-	res, err := Run(openDev(t, "p100"), w, DefaultSpec(7))
+	res, err := runAll(openDev(t, "p100"), w, DefaultSpec(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +175,7 @@ func TestCampaignRobustToSpikes(t *testing.T) {
 	spec.SpikeProb = 0.03
 	spec.Measure.RejectOutliersK = 3
 	spec.Measure.MinRuns = 8
-	res, err := Run(openDev(t, "p100"), smallWorkload(), spec)
+	res, err := runAll(openDev(t, "p100"), smallWorkload(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +251,7 @@ func TestCompareConfigsValidation(t *testing.T) {
 }
 
 func TestCampaignRecordRoundTrip(t *testing.T) {
-	res, err := Run(openDev(t, "k40c"), smallWorkload(), DefaultSpec(9))
+	res, err := runAll(openDev(t, "k40c"), smallWorkload(), DefaultSpec(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +262,7 @@ func TestCampaignRecordRoundTrip(t *testing.T) {
 	if rec.Kind != "gpu" {
 		t.Errorf("record kind %q, want gpu", rec.Kind)
 	}
-	var buf bytes.Buffer
-	if err := store.SaveCampaign(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := store.LoadCampaign(&buf)
+	loaded, err := store.LoadCampaign(bytes.NewReader(marshalRecord(t, rec)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -31,7 +30,7 @@ func chaosSpec(seed int64, workers int, cache *PointCache) Spec {
 // between faulty and fault-free campaigns.
 func chaosRecord(t testing.TB, dev device.Device, w device.Workload, spec Spec) *store.CampaignRecord {
 	t.Helper()
-	res, err := runAllConfigs(t, dev, w, spec)
+	res, err := runAll(dev, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,22 +47,14 @@ func chaosRecord(t testing.TB, dev device.Device, w device.Workload, spec Spec) 
 	return rec
 }
 
-// runAllConfigs enumerates the device's configurations and runs the
-// campaign over all of them (the shape every chaos comparison uses).
-func runAllConfigs(t testing.TB, dev device.Device, w device.Workload, spec Spec) (*Result, error) {
-	t.Helper()
-	configs, err := dev.Configs(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return RunConfigs(context.Background(), dev, w, configs, spec)
-}
-
-// marshalRecord serializes a record for byte comparison.
+// marshalRecord serializes a materialized record the way the indented
+// store.CampaignWriter streams one, for byte comparison.
 func marshalRecord(t testing.TB, rec *store.CampaignRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.SaveCampaign(&buf, rec); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rec); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -156,7 +147,7 @@ func TestChaosDegradesGracefully(t *testing.T) {
 	spec := DefaultSpec(31)
 	spec.Retry = fault.RetryPolicy{MaxAttempts: 1}
 	spec.ContinueOnError = true
-	res, err := runAllConfigs(t, injector, w, spec)
+	res, err := runAll(injector, w, spec)
 	if err != nil {
 		t.Fatalf("degrading campaign aborted: %v", err)
 	}

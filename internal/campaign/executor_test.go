@@ -72,7 +72,7 @@ func TestCustomExecutorIsUsed(t *testing.T) {
 	exec := &recordingExecutor{}
 	spec := DefaultSpec(31)
 	spec.Executor = exec
-	res, err := runAllConfigs(t, dev, w, spec)
+	res, err := runAll(dev, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCustomExecutorIsUsed(t *testing.T) {
 	// default (local pool) record byte-for-byte.
 	local := DefaultSpec(31)
 	local.Workers = 1
-	want, err := runAllConfigs(t, openDev(t, "p100"), w, local)
+	want, err := runAll(openDev(t, "p100"), w, local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNilExecutorDefaultsToLocalPool(t *testing.T) {
 	w := device.Workload{N: 48, Products: 1}
 	spec := DefaultSpec(7)
 	spec.Workers = 4
-	res, err := runAllConfigs(t, dev, w, spec)
+	res, err := runAll(dev, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExecutorOutcomeCountMismatch(t *testing.T) {
 	dev := openDev(t, "haswell")
 	spec := DefaultSpec(7)
 	spec.Executor = truncatingExecutor{}
-	_, err := runAllConfigs(t, dev, device.Workload{N: 48, Products: 1}, spec)
+	_, err := runAll(dev, device.Workload{N: 48, Products: 1}, spec)
 	if err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Fatalf("err = %v, want an outcome-count mismatch", err)
 	}
@@ -132,7 +132,7 @@ func TestCommitRejectsOutOfOrder(t *testing.T) {
 	dev := openDev(t, "haswell")
 	spec := DefaultSpec(7)
 	spec.Executor = reorderingExecutor{}
-	_, err := runAllConfigs(t, dev, device.Workload{N: 48, Products: 1}, spec)
+	_, err := runAll(dev, device.Workload{N: 48, Products: 1}, spec)
 	if err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("err = %v, want an out-of-order commit rejection", err)
 	}

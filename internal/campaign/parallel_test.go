@@ -101,7 +101,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 			recordWith := func(workers int) []byte {
 				spec := DefaultSpec(31)
 				spec.Workers = workers
-				res, err := Run(dev, tc.w, spec)
+				res, err := runAll(dev, tc.w, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,11 +109,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := store.SaveCampaign(&buf, rec); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+				return marshalRecord(t, rec)
 			}
 			serial := recordWith(1)
 			parallel := recordWith(8)
@@ -173,11 +169,7 @@ func TestCPUShuffledCampaignByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := store.SaveCampaign(&buf, rec); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return marshalRecord(t, rec)
 	}
 	shuffled := append([]device.Config(nil), configs...)
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
@@ -241,11 +233,7 @@ func TestPolicyCampaignByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := store.SaveCampaign(&buf, rec); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
+				return marshalRecord(t, rec)
 			}
 			shuffled := append([]device.Config(nil), configs...)
 			rand.New(rand.NewSource(13)).Shuffle(len(shuffled), func(i, j int) {
@@ -282,10 +270,17 @@ func TestRunConfigsValidation(t *testing.T) {
 	}
 }
 
+// TestRunContextCancellation: a campaign run under a cancelled context
+// stops before measuring and reports ctx.Err().
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, openDev(t, "p100"), smallWorkload(), DefaultSpec(1))
+	dev, w := openDev(t, "p100"), smallWorkload()
+	configs, err := dev.Configs(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunConfigs(ctx, dev, w, configs, DefaultSpec(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -309,7 +304,7 @@ func TestProgressReportsEveryConfig(t *testing.T) {
 			t.Errorf("total = %d, want %d", total, len(configs))
 		}
 	}
-	if _, err := Run(dev, w, spec); err != nil {
+	if _, err := runAll(dev, w, spec); err != nil {
 		t.Fatal(err)
 	}
 	if int(ticks.Load()) != len(configs) {
@@ -335,7 +330,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(dev, w, spec)
+				res, err := runAll(dev, w, spec)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -101,8 +101,8 @@ type RecordSink struct {
 // NewRecordSink builds a streaming record sink writing to dst for a
 // campaign on dev. The workload is normalized before it enters the
 // record header, matching what the engine reports for materialized
-// results. compact selects the service wire format over SaveCampaign's
-// indented one.
+// results. compact selects the service wire format over the indented
+// file format.
 func NewRecordSink(dst io.Writer, dev device.Device, w device.Workload, compact bool) (*RecordSink, error) {
 	cw, err := store.NewCampaignWriter(dst, dev.Spec().CatalogName, dev.Kind(), w.Normalized())
 	if err != nil {

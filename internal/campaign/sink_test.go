@@ -35,7 +35,7 @@ func streamRecordBytes(t testing.TB, dev device.Device, w device.Workload, spec 
 // TestStreamedRecordByteIdentical is the tentpole's acceptance
 // invariant on the local executor: a streamed-sink campaign produces a
 // store record byte-identical to the materialized RunConfigs →
-// Result.Record → SaveCampaign path, on all three backend kinds, at
+// Result.Record → indented-JSON path, on all three backend kinds, at
 // serial and parallel worker counts. (internal/fleet carries the same
 // invariant for the fleet executor.)
 func TestStreamedRecordByteIdentical(t *testing.T) {
@@ -44,7 +44,7 @@ func TestStreamedRecordByteIdentical(t *testing.T) {
 			dev := openDev(t, tc.name)
 			spec := DefaultSpec(31)
 			spec.Workers = 1
-			res, err := runAllConfigs(t, dev, tc.w, spec)
+			res, err := runAll(dev, tc.w, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestStreamedRecordWithFailuresByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runAllConfigs(t, mdev, tc.w, spec)
+			res, err := runAll(mdev, tc.w, spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,8 @@ func fig4App() GEMMApp {
 	}
 }
 
-// TestRunGEMMIntoWarmAllocs: a warm RunGEMMInto is allocation-free —
+// TestRunGEMMIntoWarmAllocs: a warm RunGEMM into a reused Result is
+// allocation-free —
 // the acceptance bar of the zero-alloc hot-path refactor.
 func TestRunGEMMIntoWarmAllocs(t *testing.T) {
 	if raceEnabled {
@@ -32,16 +33,16 @@ func TestRunGEMMIntoWarmAllocs(t *testing.T) {
 	m := NewHaswell()
 	app := fig4App()
 	var r Result
-	if err := m.RunGEMMInto(app, &r); err != nil {
+	if _, err := m.RunGEMM(app, &r); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.RunGEMMInto(app, &r); err != nil {
+		if _, err := m.RunGEMM(app, &r); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm RunGEMMInto allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("warm RunGEMM allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -56,19 +57,19 @@ func TestRunGEMMAtFrequencyIntoWarmAllocs(t *testing.T) {
 	app := fig4App()
 	var r Result
 	for _, f := range FrequencyLevels() {
-		if err := m.RunGEMMAtFrequencyInto(app, f, &r); err != nil {
+		if _, err := m.RunGEMMAtFrequency(app, f, &r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, f := range FrequencyLevels() {
-			if err := m.RunGEMMAtFrequencyInto(app, f, &r); err != nil {
+			if _, err := m.RunGEMMAtFrequency(app, f, &r); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm RunGEMMAtFrequencyInto sweep allocates %.1f objects, want 0", allocs)
+		t.Errorf("warm RunGEMMAtFrequency sweep allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -82,16 +83,16 @@ func TestRunFFT2DThreadedIntoWarmAllocs(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 8, Partition: dense.PartitionContiguous}
 	var r Result
-	if err := m.RunFFT2DThreadedInto(1024, cfg, &r); err != nil {
+	if _, err := m.RunFFT2DThreaded(1024, cfg, &r); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.RunFFT2DThreadedInto(1024, cfg, &r); err != nil {
+		if _, err := m.RunFFT2DThreaded(1024, cfg, &r); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm RunFFT2DThreadedInto allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("warm RunFFT2DThreaded allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -106,7 +107,7 @@ func TestProcStatPathWarmAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := NewHaswell()
 	var r Result
-	if err := m.RunGEMMInto(fig4App(), &r); err != nil {
+	if _, err := m.RunGEMM(fig4App(), &r); err != nil {
 		t.Fatal(err)
 	}
 	warm := func() {

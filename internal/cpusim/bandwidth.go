@@ -32,31 +32,16 @@ const stencilComputePenalty = 1 / 0.35
 // comes from DRAM; the x-vector gather is cheap while x fits the shared
 // L3 and inflates traffic once it spills. The cyclic partition
 // interleaves rows across threads, which costs x-locality inside the
-// band and extra page walks.
-func (m *Machine) RunSpMVThreaded(n int, cfg dense.Config) (*Result, error) {
-	out := &Result{}
-	if err := m.RunSpMVThreadedInto(n, cfg, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunSpMVThreadedInto is RunSpMVThreaded writing into a caller-owned
-// result; a warm rerun is allocation-free.
-func (m *Machine) RunSpMVThreadedInto(n int, cfg dense.Config, out *Result) error {
+// band and extra page walks. Like RunGEMM it fills and returns out (nil
+// allocates).
+func (m *Machine) RunSpMVThreaded(n int, cfg dense.Config, out *Result) (*Result, error) {
 	if n < 1 {
-		return fmt.Errorf("cpusim: SpMV size %d must be >= 1", n)
+		return nil, fmt.Errorf("cpusim: SpMV size %d must be >= 1", n)
 	}
 	if err := cfg.Validate(n); err != nil {
-		return err
-	}
-	placement, err := m.placementFor(cfg, PlacementGroupRoundRobin)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	cal := &m.cal
-	work := workload.SpMVFlops(n)
-	threads := cfg.Threads()
 
 	// Traffic character: the CSR stream is compulsory DRAM traffic; the
 	// x gather adds one cached access per nonzero that turns into real
@@ -76,23 +61,7 @@ func (m *Machine) RunSpMVThreadedInto(n int, cfg dense.Config, out *Result) erro
 		traffic *= cal.cyclicTrafficFactor
 		tlbFactor *= cal.cyclicTLBFactor
 	}
-	bytesPerFlop := traffic / work
-	share := work / float64(threads)
-	out.ensureSized(threads, m.Spec.LogicalCores())
-	sc := m.getScratch()
-	flops := sc.flops[:threads]
-	for i := range flops {
-		flops[i] = share * spmvComputePenalty
-	}
-	err = m.runThreads(cfg, placement, flops, cal.perThreadGFLOPs, bytesPerFlop/spmvComputePenalty, 1.0, tlbFactor, sc, out)
-	m.putScratch(sc)
-	if err != nil {
-		return err
-	}
-	out.App = GEMMApp{N: n, Config: cfg}
-	out.AppName = "spmv"
-	out.GFLOPs = work / out.Seconds / 1e9
-	return nil
+	return m.runBalanced("spmv", n, cfg, workload.SpMVFlops(n), traffic, spmvComputePenalty, tlbFactor, out)
 }
 
 // RunStencilThreaded runs one 5-point Jacobi sweep over an n×n grid as
@@ -100,30 +69,16 @@ func (m *Machine) RunSpMVThreadedInto(n int, cfg dense.Config, out *Result) erro
 // configuration's threads. A contiguous partition streams three source
 // rows per destination row with near-perfect reuse; the cyclic
 // partition hands adjacent rows to different threads, so every thread
-// refetches its halo rows.
-func (m *Machine) RunStencilThreaded(n int, cfg dense.Config) (*Result, error) {
-	out := &Result{}
-	if err := m.RunStencilThreadedInto(n, cfg, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunStencilThreadedInto is RunStencilThreaded writing into a
-// caller-owned result; a warm rerun is allocation-free.
-func (m *Machine) RunStencilThreadedInto(n int, cfg dense.Config, out *Result) error {
+// refetches its halo rows. Like RunGEMM it fills and returns out (nil
+// allocates).
+func (m *Machine) RunStencilThreaded(n int, cfg dense.Config, out *Result) (*Result, error) {
 	if n < 3 {
-		return fmt.Errorf("cpusim: stencil grid %d must be >= 3", n)
+		return nil, fmt.Errorf("cpusim: stencil grid %d must be >= 3", n)
 	}
 	if err := cfg.Validate(n); err != nil {
-		return err
-	}
-	placement, err := m.placementFor(cfg, PlacementGroupRoundRobin)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	cal := &m.cal
-	work := workload.StencilFlops(n)
 	threads := cfg.Threads()
 
 	// Traffic character: read + write per cell while three grid rows
@@ -141,21 +96,5 @@ func (m *Machine) RunStencilThreadedInto(n int, cfg dense.Config, out *Result) e
 		traffic *= cal.cyclicTrafficFactor
 		tlbFactor *= cal.cyclicTLBFactor
 	}
-	bytesPerFlop := traffic / work
-	share := work / float64(threads)
-	out.ensureSized(threads, m.Spec.LogicalCores())
-	sc := m.getScratch()
-	flops := sc.flops[:threads]
-	for i := range flops {
-		flops[i] = share * stencilComputePenalty
-	}
-	err = m.runThreads(cfg, placement, flops, cal.perThreadGFLOPs, bytesPerFlop/stencilComputePenalty, 1.0, tlbFactor, sc, out)
-	m.putScratch(sc)
-	if err != nil {
-		return err
-	}
-	out.App = GEMMApp{N: n, Config: cfg}
-	out.AppName = "stencil"
-	out.GFLOPs = work / out.Seconds / 1e9
-	return nil
+	return m.runBalanced("stencil", n, cfg, workload.StencilFlops(n), traffic, stencilComputePenalty, tlbFactor, out)
 }

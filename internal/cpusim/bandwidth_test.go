@@ -10,7 +10,7 @@ import (
 func TestSpMVThreadedBasics(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 4}
-	r, err := m.RunSpMVThreaded(4096, cfg)
+	r, err := m.RunSpMVThreaded(4096, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestSpMVThreadedBasics(t *testing.T) {
 		t.Fatalf("non-positive outputs: %+v", r)
 	}
 	// Bandwidth-bound: well below the machine's dense throughput.
-	dense1, err := m.RunGEMM(GEMMApp{N: 4096, Config: cfg})
+	dense1, err := m.RunGEMM(GEMMApp{N: 4096, Config: cfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSpMVThreadedBasics(t *testing.T) {
 func TestStencilThreadedBasics(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 1, ThreadsPerGroup: 8}
-	r, err := m.RunStencilThreaded(2048, cfg)
+	r, err := m.RunStencilThreaded(2048, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,13 @@ func TestStencilThreadedBasics(t *testing.T) {
 func TestBandwidthFamiliesRejectBadSizes(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 1, ThreadsPerGroup: 1}
-	if _, err := m.RunSpMVThreaded(0, cfg); err == nil {
+	if _, err := m.RunSpMVThreaded(0, cfg, nil); err == nil {
 		t.Error("SpMV n=0 must error")
 	}
-	if _, err := m.RunStencilThreaded(2, cfg); err == nil {
+	if _, err := m.RunStencilThreaded(2, cfg, nil); err == nil {
 		t.Error("stencil n=2 must error")
 	}
-	if _, err := m.RunSpMVThreaded(64, dense.Config{Groups: 9, ThreadsPerGroup: 9}); err == nil {
+	if _, err := m.RunSpMVThreaded(64, dense.Config{Groups: 9, ThreadsPerGroup: 9}, nil); err == nil {
 		t.Error("invalid config must error")
 	}
 }
@@ -71,11 +71,11 @@ func TestCyclicPartitionCostsEnergy(t *testing.T) {
 		if app == "stencil" {
 			run = m.RunStencilThreaded
 		}
-		rc, err := run(n, cont)
+		rc, err := run(n, cont, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ry, err := run(n, cyc)
+		ry, err := run(n, cyc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,22 +88,22 @@ func TestCyclicPartitionCostsEnergy(t *testing.T) {
 func TestBandwidthFamiliesDeterministic(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 12}
-	a, err := m.RunSpMVThreaded(4096, cfg)
+	a, err := m.RunSpMVThreaded(4096, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.RunSpMVThreaded(4096, cfg)
+	b, err := m.RunSpMVThreaded(4096, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Seconds != b.Seconds || a.DynEnergyJ != b.DynEnergyJ {
 		t.Errorf("SpMV reruns differ: %v vs %v", a, b)
 	}
-	s1, err := m.RunStencilThreaded(4096, cfg)
+	s1, err := m.RunStencilThreaded(4096, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m.RunStencilThreaded(4096, cfg)
+	s2, err := m.RunStencilThreaded(4096, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,23 +113,24 @@ func TestBandwidthFamiliesDeterministic(t *testing.T) {
 }
 
 func TestBandwidthWarmRunsAllocationFree(t *testing.T) {
-	// The Into variants ride the pooled scratch and caller-owned result,
+	// Runs into a reused result ride the pooled scratch and caller-owned
+	// buffers,
 	// so the steady-state contract of the zero-alloc engine extends to
 	// the new families.
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 6}
 	out := &Result{}
-	if err := m.RunSpMVThreadedInto(2048, cfg, out); err != nil {
+	if _, err := m.RunSpMVThreaded(2048, cfg, out); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RunStencilThreadedInto(2048, cfg, out); err != nil {
+	if _, err := m.RunStencilThreaded(2048, cfg, out); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := m.RunSpMVThreadedInto(2048, cfg, out); err != nil {
+		if _, err := m.RunSpMVThreaded(2048, cfg, out); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.RunStencilThreadedInto(2048, cfg, out); err != nil {
+		if _, err := m.RunStencilThreaded(2048, cfg, out); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -144,7 +145,7 @@ func TestSpMVIntensityMatchesWorkloadModel(t *testing.T) {
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 1, ThreadsPerGroup: 4}
 	n := 1024
-	r, err := m.RunSpMVThreaded(n, cfg)
+	r, err := m.RunSpMVThreaded(n, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

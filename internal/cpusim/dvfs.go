@@ -34,27 +34,22 @@ func FrequencyLevels() []float64 {
 // board property); core dynamic power scales with f·V² ≈ f³ (voltage
 // tracks frequency); uncore power scales partially; dTLB power follows
 // the page-walk rate, which tracks the achieved traffic rate.
-func (m *Machine) RunGEMMAtFrequency(app GEMMApp, freqGHz float64) (*Result, error) {
-	out := &Result{}
-	if err := m.RunGEMMAtFrequencyInto(app, freqGHz, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunGEMMAtFrequencyInto is RunGEMMAtFrequency writing into a
-// caller-owned result. The frequency scaling threads the scaled compute
-// rate through the shared engine instead of copying the whole Machine
-// with a scaled calibration, so a DVFS sweep is O(levels) cheap reruns
-// over the cached placement and decomposition.
-func (m *Machine) RunGEMMAtFrequencyInto(app GEMMApp, freqGHz float64, out *Result) error {
+//
+// Like RunGEMM it fills and returns out (nil allocates). The frequency
+// scaling threads the scaled compute rate through the shared engine
+// instead of copying the whole Machine with a scaled calibration, so a
+// DVFS sweep is O(levels) cheap reruns over the cached placement and
+// decomposition.
+func (m *Machine) RunGEMMAtFrequency(app GEMMApp, freqGHz float64, out *Result) (*Result, error) {
 	if freqGHz < 0.8 || freqGHz > 3.5 {
-		return fmt.Errorf("cpusim: frequency %.2f GHz outside the plausible 0.8..3.5 range", freqGHz)
+		return nil, fmt.Errorf("cpusim: frequency %.2f GHz outside the plausible 0.8..3.5 range", freqGHz)
 	}
 	rel := freqGHz / NominalGHz
-
+	if out == nil {
+		out = &Result{}
+	}
 	if err := m.runGEMMScaled(app, rel, out); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Rescale the power components for voltage: core power already
@@ -74,7 +69,7 @@ func (m *Machine) RunGEMMAtFrequencyInto(app GEMMApp, freqGHz float64, out *Resu
 	out.Power = pw
 	out.DynPowerW = pw.TotalW()
 	out.DynEnergyJ = out.DynPowerW * out.Seconds
-	return nil
+	return out, nil
 }
 
 // DVFSSweep runs one configuration across every frequency level and
@@ -84,7 +79,7 @@ func (m *Machine) DVFSSweep(app GEMMApp) ([]*Result, []float64, error) {
 	levels := FrequencyLevels()
 	out := make([]*Result, 0, len(levels))
 	for _, f := range levels {
-		r, err := m.RunGEMMAtFrequency(app, f)
+		r, err := m.RunGEMMAtFrequency(app, f, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -111,8 +106,8 @@ func (m *Machine) CombinedSweep(n int, v dense.Variant) ([]FreqConfigResult, err
 	out := make([]FreqConfigResult, 0, len(levels)*len(cfgs))
 	for _, freq := range levels {
 		for _, cfg := range cfgs {
-			r := &Result{}
-			if err := m.RunGEMMAtFrequencyInto(GEMMApp{N: n, Config: cfg, Variant: v}, freq, r); err != nil {
+			r, err := m.RunGEMMAtFrequency(GEMMApp{N: n, Config: cfg, Variant: v}, freq, nil)
+			if err != nil {
 				return nil, err
 			}
 			out = append(out, FreqConfigResult{FreqGHz: freq, Config: cfg, Result: r})

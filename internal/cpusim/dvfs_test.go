@@ -16,11 +16,11 @@ func dvfsApp() GEMMApp {
 
 func TestRunGEMMAtNominalMatchesRunGEMM(t *testing.T) {
 	m := NewHaswell()
-	a, err := m.RunGEMM(dvfsApp())
+	a, err := m.RunGEMM(dvfsApp(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.RunGEMMAtFrequency(dvfsApp(), NominalGHz)
+	b, err := m.RunGEMMAtFrequency(dvfsApp(), NominalGHz, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +34,10 @@ func TestRunGEMMAtNominalMatchesRunGEMM(t *testing.T) {
 
 func TestFrequencyValidation(t *testing.T) {
 	m := NewHaswell()
-	if _, err := m.RunGEMMAtFrequency(dvfsApp(), 0.5); err == nil {
+	if _, err := m.RunGEMMAtFrequency(dvfsApp(), 0.5, nil); err == nil {
 		t.Error("too-low frequency: want error")
 	}
-	if _, err := m.RunGEMMAtFrequency(dvfsApp(), 4.0); err == nil {
+	if _, err := m.RunGEMMAtFrequency(dvfsApp(), 4.0, nil); err == nil {
 		t.Error("too-high frequency: want error")
 	}
 }
@@ -47,11 +47,11 @@ func TestLowerFrequencySlowerButCoresCheaper(t *testing.T) {
 	// roughly double the time and cut core power superlinearly.
 	m := NewHaswell()
 	app := dvfsApp()
-	fast, err := m.RunGEMMAtFrequency(app, 2.3)
+	fast, err := m.RunGEMMAtFrequency(app, 2.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := m.RunGEMMAtFrequency(app, 1.2)
+	slow, err := m.RunGEMMAtFrequency(app, 1.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestMemoryBoundRunInsensitiveToFrequency(t *testing.T) {
 		Config:  dense.Config{Groups: 2, ThreadsPerGroup: 24},
 		Variant: dense.VariantPacked,
 	}
-	fast, err := m.RunGEMMAtFrequency(app, 2.3)
+	fast, err := m.RunGEMMAtFrequency(app, 2.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := m.RunGEMMAtFrequency(app, 1.8)
+	slow, err := m.RunGEMMAtFrequency(app, 1.8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

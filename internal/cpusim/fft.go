@@ -5,25 +5,7 @@ import (
 	"math"
 
 	"energyprop/internal/fft"
-	"energyprop/internal/meter"
 )
-
-// FFTResult is one point of the strong-EP study (Fig 1) on the CPU: the
-// MKL-style 2D DFT of an N×N complex signal under the paper's work model
-// W = 5·N²·log₂N.
-type FFTResult struct {
-	N          int
-	Work       float64
-	Seconds    float64
-	DynPowerW  float64
-	DynEnergyJ float64
-	GFLOPs     float64
-}
-
-// Run adapts the result to a meter.Run.
-func (r *FFTResult) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
-}
 
 // RunFFT2D models the multithreaded 2D FFT (one thread per core, workload
 // divided equally, no communication) whose dynamic energy the paper's
@@ -34,7 +16,11 @@ func (r *FFTResult) Run(idlePowerW float64) meter.Run {
 //   - the strided column pass thrashes the dTLB once a row of the signal
 //     exceeds the TLB reach, switching the page-walk component on;
 //   - odd log₂N sizes pay an extra radix-2 pass.
-func (m *Machine) RunFFT2D(n, threads int) (*FFTResult, error) {
+//
+// The result is one point of the strong-EP study (Fig 1) on the CPU: the
+// MKL-style 2D DFT of an N×N complex signal under the paper's work model
+// W = 5·N²·log₂N.
+func (m *Machine) RunFFT2D(n, threads int) (*Result, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("cpusim: FFT size %d must be >= 2", n)
 	}
@@ -92,12 +78,13 @@ func (m *Machine) RunFFT2D(n, threads int) (*FFTResult, error) {
 		tlbPower = spec.DTLBPowerW * math.Min(1, pageRate/cal.tlbPagesPerSecondCapacity)
 	}
 	power := corePower + uncore + tlbPower
-	return &FFTResult{
-		N:          n,
+	return &Result{
+		App:        GEMMApp{N: n},
+		AppName:    "fft2d",
 		Work:       work,
 		Seconds:    seconds,
+		GFLOPs:     perf,
 		DynPowerW:  power,
 		DynEnergyJ: power * seconds,
-		GFLOPs:     perf,
 	}, nil
 }

@@ -7,6 +7,11 @@ import (
 	"energyprop/internal/fft"
 )
 
+// fftComputePenalty is the FFT's per-flop cost relative to DGEMM:
+// butterflies run at a lower fraction of peak than DGEMM kernels, which
+// the engine's DGEMM-calibrated rate expresses as inflated flop shares.
+const fftComputePenalty = 1 / 0.45
+
 // RunFFT2DThreaded runs the 2D FFT as a configurable load-balanced
 // threadgroup application through the same execution engine as the DGEMM
 // — the second application family of the weak-EP study the paper's
@@ -14,37 +19,17 @@ import (
 // FFT variants). Rows (then columns) are divided equally among the
 // configuration's threads; the partition type changes the access pattern:
 // the cyclic partition interleaves rows across threads, which costs TLB
-// locality in the strided column pass.
-func (m *Machine) RunFFT2DThreaded(n int, cfg dense.Config) (*Result, error) {
-	out := &Result{}
-	if err := m.RunFFT2DThreadedInto(n, cfg, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunFFT2DThreadedInto is RunFFT2DThreaded writing into a caller-owned
-// result; a warm rerun is allocation-free (the flop shares live in the
-// machine's run scratch).
-func (m *Machine) RunFFT2DThreadedInto(n int, cfg dense.Config, out *Result) error {
+// locality in the strided column pass. Like RunGEMM it fills and returns
+// out (nil allocates), and a warm rerun is allocation-free.
+func (m *Machine) RunFFT2DThreaded(n int, cfg dense.Config, out *Result) (*Result, error) {
 	if n < 2 {
-		return fmt.Errorf("cpusim: FFT size %d must be >= 2", n)
+		return nil, fmt.Errorf("cpusim: FFT size %d must be >= 2", n)
 	}
 	if err := cfg.Validate(n); err != nil {
-		return err
+		return nil, err
 	}
-	placement, err := m.placementFor(cfg, PlacementGroupRoundRobin)
-	if err != nil {
-		return err
-	}
-	cal := &m.cal
-	work := fft.Work(n)
-	threads := cfg.Threads()
-
 	// Traffic character: the FFT's bytes-per-flop follows the cache
-	// regimes of the strong-EP model; FFT butterflies also run at a lower
-	// fraction of peak than DGEMM kernels, which we express by inflating
-	// the per-flop cost (the engine's rate is calibrated for DGEMM).
+	// regimes of the strong-EP model.
 	signalBytes := 16 * float64(n) * float64(n)
 	l3 := float64(m.Spec.L3KB) * 1024
 	traffic := 2 * signalBytes
@@ -58,27 +43,7 @@ func (m *Machine) RunFFT2DThreadedInto(n int, cfg dense.Config, out *Result) err
 		tlbFactor = 2.2
 	}
 	if cfg.Partition == dense.PartitionCyclic {
-		tlbFactor *= cal.cyclicTLBFactor
+		tlbFactor *= m.cal.cyclicTLBFactor
 	}
-	bytesPerFlop := traffic / work
-	// FFT compute efficiency relative to DGEMM: scale the equal flop
-	// shares (the row/column passes divide exactly) up so the engine's
-	// DGEMM-calibrated rate yields FFT-realistic times.
-	const fftComputePenalty = 1 / 0.45
-	share := work / float64(threads)
-	out.ensureSized(threads, m.Spec.LogicalCores())
-	sc := m.getScratch()
-	flops := sc.flops[:threads]
-	for i := range flops {
-		flops[i] = share * fftComputePenalty
-	}
-	err = m.runThreads(cfg, placement, flops, cal.perThreadGFLOPs, bytesPerFlop/fftComputePenalty, 1.0, tlbFactor, sc, out)
-	m.putScratch(sc)
-	if err != nil {
-		return err
-	}
-	out.App = GEMMApp{N: n, Config: cfg}
-	out.AppName = "fft2d"
-	out.GFLOPs = work / out.Seconds / 1e9
-	return nil
+	return m.runBalanced("fft2d", n, cfg, fft.Work(n), traffic, fftComputePenalty, tlbFactor, out)
 }

@@ -9,17 +9,17 @@ import (
 
 func TestRunFFT2DThreadedValidation(t *testing.T) {
 	m := NewHaswell()
-	if _, err := m.RunFFT2DThreaded(1, dense.Config{Groups: 1, ThreadsPerGroup: 1}); err == nil {
+	if _, err := m.RunFFT2DThreaded(1, dense.Config{Groups: 1, ThreadsPerGroup: 1}, nil); err == nil {
 		t.Error("N=1: want error")
 	}
-	if _, err := m.RunFFT2DThreaded(1024, dense.Config{Groups: 0, ThreadsPerGroup: 1}); err == nil {
+	if _, err := m.RunFFT2DThreaded(1024, dense.Config{Groups: 0, ThreadsPerGroup: 1}, nil); err == nil {
 		t.Error("bad config: want error")
 	}
 }
 
 func TestRunFFT2DThreadedSanity(t *testing.T) {
 	m := NewHaswell()
-	r, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 8})
+	r, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFFTThreadedWeakEPViolated(t *testing.T) {
 		{Groups: 1, ThreadsPerGroup: 24},
 		{Groups: 2, ThreadsPerGroup: 4, Partition: dense.PartitionCyclic},
 	} {
-		r, err := m.RunFFT2DThreaded(8192, cfg)
+		r, err := m.RunFFT2DThreaded(8192, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,11 @@ func TestFFTThreadedWeakEPViolated(t *testing.T) {
 
 func TestFFTThreadedCyclicCostsTLB(t *testing.T) {
 	m := NewHaswell()
-	contig, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 6})
+	contig, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyclic, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 6, Partition: dense.PartitionCyclic})
+	cyclic, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 6, Partition: dense.PartitionCyclic}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFFTThreadedCyclicCostsTLB(t *testing.T) {
 
 func TestFFTThreadedPMCRejected(t *testing.T) {
 	m := NewHaswell()
-	r, err := m.RunFFT2DThreaded(4096, dense.Config{Groups: 1, ThreadsPerGroup: 4})
+	r, err := m.RunFFT2DThreaded(4096, dense.Config{Groups: 1, ThreadsPerGroup: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestFFTThreadedPMCRejected(t *testing.T) {
 
 func TestFFTThreadedScalesWithThreads(t *testing.T) {
 	m := NewHaswell()
-	r1, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 1, ThreadsPerGroup: 1})
+	r1, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 1, ThreadsPerGroup: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 4})
+	r8, err := m.RunFFT2DThreaded(8192, dense.Config{Groups: 2, ThreadsPerGroup: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,14 +172,20 @@ type PowerBreakdown struct {
 // TotalW sums the components.
 func (b PowerBreakdown) TotalW() float64 { return b.CoreW + b.UncoreW + b.DTLBW }
 
-// Result reports one configuration's simulated execution.
+// Result reports one simulated execution — the single result shape of
+// every application family the machine runs. The per-thread fields
+// (CoreUtil, AvgUtil, Power, ThreadSeconds) are zero for the strong-EP
+// FFT model (RunFFT2D), which has no threadgroup decomposition.
 type Result struct {
 	App GEMMApp
-	// AppName identifies the application family ("dgemm" or "fft2d").
+	// AppName identifies the application family ("dgemm", "fft2d",
+	// "spmv", or "stencil").
 	AppName string
+	// Work is the application's flop count.
+	Work float64
 	// Seconds is the application execution time (slowest thread).
 	Seconds float64
-	// GFLOPs is the paper's performance metric 2·N³/t.
+	// GFLOPs is the paper's performance metric Work/t (2·N³/t for DGEMM).
 	GFLOPs float64
 	// CoreUtil is the utilization of every logical core in [0,1], indexed
 	// by logical core id (0..LogicalCores-1).
@@ -282,24 +288,23 @@ func (m *Machine) socketOf(l int) int {
 	return m.physicalOf(l) / m.Spec.CoresPerSocket
 }
 
-// RunGEMM simulates one Fig 4 configuration.
-func (m *Machine) RunGEMM(app GEMMApp) (*Result, error) {
-	out := &Result{}
-	if err := m.RunGEMMInto(app, out); err != nil {
+// RunGEMM simulates one Fig 4 configuration into out and returns it; a
+// nil out allocates a fresh Result. Every runner of the machine follows
+// this convention: reusing the same Result across calls makes a warm run
+// allocation-free, because the result's slices, the run scratch, the
+// thread placement, and the decomposed flop shares are all sized on
+// first use and recycled.
+func (m *Machine) RunGEMM(app GEMMApp, out *Result) (*Result, error) {
+	if out == nil {
+		out = &Result{}
+	}
+	if err := m.runGEMMScaled(app, 1, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// RunGEMMInto is RunGEMM writing into a caller-owned result. Reusing the
-// same Result across calls makes a warm run allocation-free: the
-// result's slices, the run scratch, the thread placement, and the
-// decomposed flop shares are all sized on first use and recycled.
-func (m *Machine) RunGEMMInto(app GEMMApp, out *Result) error {
-	return m.runGEMMScaled(app, 1, out)
-}
-
-// runGEMMScaled is the shared body of RunGEMMInto and the DVFS path:
+// runGEMMScaled is the shared body of RunGEMM and the DVFS path:
 // rel scales the calibration's per-thread compute rate (1 at the
 // nominal clock). Scaling the rate here instead of copying the whole
 // machine with a scaled calibration keeps frequency reruns cheap and
@@ -342,8 +347,43 @@ func (m *Machine) runGEMMScaled(app GEMMApp, rel float64, out *Result) error {
 	}
 	out.App = app
 	out.AppName = "dgemm"
-	out.GFLOPs = 2 * n * n * n / out.Seconds / 1e9
+	out.Work = 2 * n * n * n
+	out.GFLOPs = out.Work / out.Seconds / 1e9
 	return nil
+}
+
+// runBalanced is the shared body of the load-balanced families (the
+// threaded FFT, SpMV, stencil): work divides equally among the
+// configuration's threads, each flop costing penalty DGEMM-calibrated
+// flops, with the family's DRAM traffic and page-walk character. It
+// fills and returns out (allocating when nil).
+func (m *Machine) runBalanced(app string, n int, cfg dense.Config, work, traffic, penalty, tlbFactor float64, out *Result) (*Result, error) {
+	placement, err := m.placementFor(cfg, PlacementGroupRoundRobin)
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		out = &Result{}
+	}
+	threads := cfg.Threads()
+	bytesPerFlop := traffic / work
+	share := work / float64(threads)
+	out.ensureSized(threads, m.Spec.LogicalCores())
+	sc := m.getScratch()
+	flops := sc.flops[:threads]
+	for i := range flops {
+		flops[i] = share * penalty
+	}
+	err = m.runThreads(cfg, placement, flops, m.cal.perThreadGFLOPs, bytesPerFlop/penalty, 1.0, tlbFactor, sc, out)
+	m.putScratch(sc)
+	if err != nil {
+		return nil, err
+	}
+	out.App = GEMMApp{N: n, Config: cfg}
+	out.AppName = app
+	out.Work = work
+	out.GFLOPs = work / out.Seconds / 1e9
+	return out, nil
 }
 
 // runThreads is the shared execution engine for load-balanced

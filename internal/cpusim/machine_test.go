@@ -23,13 +23,13 @@ func TestNewMachineValidation(t *testing.T) {
 
 func TestRunGEMMValidation(t *testing.T) {
 	m := NewHaswell()
-	if _, err := m.RunGEMM(GEMMApp{N: 0, Config: dense.Config{Groups: 1, ThreadsPerGroup: 1}}); err == nil {
+	if _, err := m.RunGEMM(GEMMApp{N: 0, Config: dense.Config{Groups: 1, ThreadsPerGroup: 1}}, nil); err == nil {
 		t.Error("N=0: want error")
 	}
-	if _, err := m.RunGEMM(GEMMApp{N: 1024, Config: dense.Config{Groups: 1, ThreadsPerGroup: 49}}); err == nil {
+	if _, err := m.RunGEMM(GEMMApp{N: 1024, Config: dense.Config{Groups: 1, ThreadsPerGroup: 49}}, nil); err == nil {
 		t.Error("more threads than logical cores: want error")
 	}
-	if _, err := m.RunGEMM(GEMMApp{N: 1024, Config: dense.Config{Groups: 0, ThreadsPerGroup: 1}}); err == nil {
+	if _, err := m.RunGEMM(GEMMApp{N: 1024, Config: dense.Config{Groups: 0, ThreadsPerGroup: 1}}, nil); err == nil {
 		t.Error("zero groups: want error")
 	}
 }
@@ -86,7 +86,7 @@ func TestPerformanceLinearAtLowUtilization(t *testing.T) {
 			N:       17408,
 			Config:  dense.Config{Groups: 2, ThreadsPerGroup: k, Partition: dense.PartitionContiguous},
 			Variant: dense.VariantPacked,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPerformancePlateausAt700(t *testing.T) {
 	m := NewHaswell()
 	peak := 0.0
 	for _, cfg := range m.EnumerateConfigs() {
-		r, err := m.RunGEMM(GEMMApp{N: 17408, Config: cfg, Variant: dense.VariantPacked})
+		r, err := m.RunGEMM(GEMMApp{N: 17408, Config: cfg, Variant: dense.VariantPacked}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +121,12 @@ func TestPerformancePlateausAt700(t *testing.T) {
 	}
 	// A 48-thread run must not beat a 24-thread two-socket run by much.
 	r24, err := m.RunGEMM(GEMMApp{N: 17408,
-		Config: dense.Config{Groups: 2, ThreadsPerGroup: 12}, Variant: dense.VariantPacked})
+		Config: dense.Config{Groups: 2, ThreadsPerGroup: 12}, Variant: dense.VariantPacked}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r48, err := m.RunGEMM(GEMMApp{N: 17408,
-		Config: dense.Config{Groups: 2, ThreadsPerGroup: 24}, Variant: dense.VariantPacked})
+		Config: dense.Config{Groups: 2, ThreadsPerGroup: 24}, Variant: dense.VariantPacked}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestNonFunctionalPowerAtSameUtilization(t *testing.T) {
 	// (with hyperthreads) against 24 threads across both sockets.
 	m := NewHaswell()
 	oneSocket, err := m.RunGEMM(GEMMApp{N: 17408,
-		Config: dense.Config{Groups: 1, ThreadsPerGroup: 24}, Variant: dense.VariantPacked})
+		Config: dense.Config{Groups: 1, ThreadsPerGroup: 24}, Variant: dense.VariantPacked}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	twoSockets, err := m.RunGEMM(GEMMApp{N: 17408,
-		Config: dense.Config{Groups: 2, ThreadsPerGroup: 12}, Variant: dense.VariantPacked})
+		Config: dense.Config{Groups: 2, ThreadsPerGroup: 12}, Variant: dense.VariantPacked}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWeakEPViolatedOnCPU(t *testing.T) {
 		if cfg.Threads() < 4 {
 			continue // compare configurations of similar scale
 		}
-		r, err := m.RunGEMM(GEMMApp{N: 17408, Config: cfg, Variant: dense.VariantPacked})
+		r, err := m.RunGEMM(GEMMApp{N: 17408, Config: cfg, Variant: dense.VariantPacked}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,11 @@ func TestVariantAndPartitionChangePower(t *testing.T) {
 	packed.Variant = dense.VariantPacked
 	tiled := base
 	tiled.Variant = dense.VariantTiled
-	rp, err := m.RunGEMM(packed)
+	rp, err := m.RunGEMM(packed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := m.RunGEMM(tiled)
+	rt, err := m.RunGEMM(tiled, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestVariantAndPartitionChangePower(t *testing.T) {
 	}
 	cyc := packed
 	cyc.Config.Partition = dense.PartitionCyclic
-	rc, err := m.RunGEMM(cyc)
+	rc, err := m.RunGEMM(cyc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestResultInternalConsistency(t *testing.T) {
 		if tiled {
 			v = dense.VariantTiled
 		}
-		r, err := m.RunGEMM(GEMMApp{N: 8192, Config: cfg, Variant: v})
+		r, err := m.RunGEMM(GEMMApp{N: 8192, Config: cfg, Variant: v}, nil)
 		if err != nil {
 			return false
 		}
@@ -273,11 +273,11 @@ func TestResultInternalConsistency(t *testing.T) {
 func TestRunGEMMDeterministic(t *testing.T) {
 	m := NewHaswell()
 	app := GEMMApp{N: 17408, Config: dense.Config{Groups: 4, ThreadsPerGroup: 6}, Variant: dense.VariantTiled}
-	a, err := m.RunGEMM(app)
+	a, err := m.RunGEMM(app, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.RunGEMM(app)
+	b, err := m.RunGEMM(app, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestEnumerateConfigsShape(t *testing.T) {
 
 func TestMeterAdapter(t *testing.T) {
 	m := NewHaswell()
-	r, err := m.RunGEMM(GEMMApp{N: 8192, Config: dense.Config{Groups: 2, ThreadsPerGroup: 4}})
+	r, err := m.RunGEMM(GEMMApp{N: 8192, Config: dense.Config{Groups: 2, ThreadsPerGroup: 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,11 @@ func TestPlacementMovesPowerAtSameUtilization(t *testing.T) {
 	compact.Placement = PlacementCompact
 	scatter := app
 	scatter.Placement = PlacementScatter
-	rc, err := m.RunGEMM(compact)
+	rc, err := m.RunGEMM(compact, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := m.RunGEMM(scatter)
+	rs, err := m.RunGEMM(scatter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestPlacementMovesPowerAtSameUtilization(t *testing.T) {
 func TestDefaultPlacementIsRoundRobin(t *testing.T) {
 	m := NewHaswell()
 	app := GEMMApp{N: 8192, Config: dense.Config{Groups: 2, ThreadsPerGroup: 4}}
-	a, err := m.RunGEMM(app)
+	a, err := m.RunGEMM(app, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app.Placement = PlacementGroupRoundRobin
-	b, err := m.RunGEMM(app)
+	b, err := m.RunGEMM(app, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestCollectPMCValidation(t *testing.T) {
 
 func TestCollectPMCAllEventsPresent(t *testing.T) {
 	m := NewHaswell()
-	r, err := m.RunGEMM(GEMMApp{N: 4096, Config: dense.Config{Groups: 2, ThreadsPerGroup: 4}})
+	r, err := m.RunGEMM(GEMMApp{N: 4096, Config: dense.Config{Groups: 2, ThreadsPerGroup: 4}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCollectPMCDTLBTracksPartitionAndVariant(t *testing.T) {
 			N:       8192,
 			Config:  dense.Config{Groups: 2, ThreadsPerGroup: 6, Partition: part},
 			Variant: v,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestCollectPMCAdditiveInWorkload(t *testing.T) {
 	// linear-model variables.
 	m := NewHaswell()
 	cfg := dense.Config{Groups: 2, ThreadsPerGroup: 4}
-	small, err := m.RunGEMM(GEMMApp{N: 2048, Config: cfg})
+	small, err := m.RunGEMM(GEMMApp{N: 2048, Config: cfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := m.RunGEMM(GEMMApp{N: 4096, Config: cfg})
+	big, err := m.RunGEMM(GEMMApp{N: 4096, Config: cfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestProcStatPairMatchesSimulatorUtilization(t *testing.T) {
 		N:       17408,
 		Config:  dense.Config{Groups: 2, ThreadsPerGroup: 9, Partition: dense.PartitionContiguous},
 		Variant: dense.VariantPacked,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

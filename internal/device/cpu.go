@@ -7,7 +7,6 @@ import (
 
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
-	"energyprop/internal/meter"
 )
 
 // CPU adapts a *cpusim.Machine. Its decision variables are the
@@ -59,6 +58,58 @@ func (p CPUPoint) Key() string {
 // String implements Config with the decomposition notation.
 func (p CPUPoint) String() string { return p.C.String() }
 
+// cpuApp is one CPU application family. Every family runs under the
+// machine's threadgroup decompositions, so an entry is the family's
+// smallest valid size and the kernel sequence one instance runs.
+type cpuApp struct {
+	// minN is the smallest valid size beyond Workload.Validate's N >= 1;
+	// sizeName names N in its error.
+	minN     int
+	sizeName string
+	// kernels runs one instance: its kernels in execution order.
+	kernels func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error)
+}
+
+// cpuApps is the CPU's application-family table; a new family is one
+// entry. Like gpuApps it is filled in init so epvet's call graph sees
+// the kernels behind CPU.Run.
+var cpuApps map[string]cpuApp
+
+func init() {
+	cpuApps = map[string]cpuApp{
+		AppDense: {kernels: func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error) {
+			r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg}, nil)
+			return []*cpusim.Result{r}, err
+		}},
+		AppFFT: {minN: 2, sizeName: "FFT size", kernels: func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error) {
+			r, err := m.RunFFT2DThreaded(n, cfg, nil)
+			return []*cpusim.Result{r}, err
+		}},
+		AppSpMV: {kernels: func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error) {
+			r, err := m.RunSpMVThreaded(n, cfg, nil)
+			return []*cpusim.Result{r}, err
+		}},
+		AppStencil: {minN: 3, sizeName: "stencil grid", kernels: func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error) {
+			r, err := m.RunStencilThreaded(n, cfg, nil)
+			return []*cpusim.Result{r}, err
+		}},
+		// One SpMV and one stencil sweep per instance under the same
+		// decomposition; the energy is exactly the sum of the phases —
+		// the additivity the counters property tests pin down.
+		AppCompound: {minN: 3, sizeName: "stencil grid", kernels: func(m *cpusim.Machine, n int, cfg dense.Config) ([]*cpusim.Result, error) {
+			sp, err := m.RunSpMVThreaded(n, cfg, nil)
+			if err != nil {
+				return nil, err
+			}
+			st, err := m.RunStencilThreaded(n, cfg, nil)
+			if err != nil {
+				return nil, err
+			}
+			return []*cpusim.Result{sp, st}, nil
+		}},
+	}
+}
+
 // Configs implements Device: the machine's enumeration filtered to the
 // decompositions valid for the workload size (threads <= N).
 func (c *CPU) Configs(w Workload) ([]Config, error) {
@@ -66,11 +117,12 @@ func (c *CPU) Configs(w Workload) ([]Config, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	if w.App == AppFFT && w.N < 2 {
-		return nil, fmt.Errorf("device: FFT size %d must be >= 2", w.N)
+	app, ok := cpuApps[w.App]
+	if !ok {
+		return nil, fmt.Errorf("device: %s cannot run application %q", c.name, w.App)
 	}
-	if (w.App == AppStencil || w.App == AppCompound) && w.N < 3 {
-		return nil, fmt.Errorf("device: stencil grid %d must be >= 3", w.N)
+	if w.N < app.minN {
+		return nil, fmt.Errorf("device: %s %d must be >= %d", app.sizeName, w.N, app.minN)
 	}
 	var out []Config
 	for _, cfg := range c.m.EnumerateConfigs() {
@@ -98,56 +150,17 @@ func (c *CPU) Run(ctx context.Context, w Workload, cfg Config) (*Outcome, error)
 	if !ok {
 		return nil, configMismatch(c, cfg)
 	}
-	if w.App == AppCompound {
-		return c.runCompound(w, p)
-	}
-	var r *cpusim.Result
-	var err error
-	switch w.App {
-	case AppDense:
-		r, err = c.m.RunGEMM(cpusim.GEMMApp{N: w.N, Config: p.C})
-	case AppFFT:
-		r, err = c.m.RunFFT2DThreaded(w.N, p.C)
-	case AppSpMV:
-		r, err = c.m.RunSpMVThreaded(w.N, p.C)
-	case AppStencil:
-		r, err = c.m.RunStencilThreaded(w.N, p.C)
-	default:
+	app, ok := cpuApps[w.App]
+	if !ok {
 		return nil, fmt.Errorf("device: %s cannot run application %q", c.name, w.App)
 	}
+	rs, err := app.kernels(c.m, w.N, p.C)
 	if err != nil {
 		return nil, err
 	}
-	n := float64(w.Products)
-	return &Outcome{
-		TrueSeconds: n * r.Seconds,
-		TrueEnergyJ: n * r.DynEnergyJ,
-		Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: c.m.Spec.IdlePowerW + r.DynPowerW},
-	}, nil
-}
-
-// runCompound executes one SpMV and one stencil sweep per product under
-// the same threadgroup decomposition. The two phases run back to back,
-// so the power profile is a two-segment staircase and the compound
-// energy is exactly the sum of the phase energies — the additivity the
-// counters property tests pin down.
-func (c *CPU) runCompound(w Workload, p CPUPoint) (*Outcome, error) {
-	sp, err := c.m.RunSpMVThreaded(w.N, p.C)
-	if err != nil {
-		return nil, err
+	phases := make([]phase, len(rs))
+	for i, r := range rs {
+		phases[i] = phase{r.Seconds, r.DynPowerW, r.DynEnergyJ}
 	}
-	st, err := c.m.RunStencilThreaded(w.N, p.C)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(w.Products)
-	idle := c.m.Spec.IdlePowerW
-	run := &meter.SegmentRun{}
-	run.AddSegment(n*sp.Seconds, idle+sp.DynPowerW)
-	run.AddSegment(n*st.Seconds, idle+st.DynPowerW)
-	return &Outcome{
-		TrueSeconds: n * (sp.Seconds + st.Seconds),
-		TrueEnergyJ: n * (sp.DynEnergyJ + st.DynEnergyJ),
-		Run:         run,
-	}, nil
+	return repeat(c.m.Spec.IdlePowerW, w.Products, phases...), nil
 }

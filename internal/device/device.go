@@ -158,6 +158,34 @@ type AnalyticProvider interface {
 	Analytic() Device
 }
 
+// phase is one kernel's contribution to an outcome: the time, dynamic
+// power, and dynamic energy every backend's kernel result carries.
+type phase struct{ seconds, powerW, energyJ float64 }
+
+// repeat builds the outcome of n back-to-back instances of a kernel
+// sequence over the node's idle power: a constant profile for a single
+// kernel, and for a sequence (the compound family) a staircase whose
+// energy is exactly the sum of the phase energies.
+func repeat(idleW float64, n int, phases ...phase) *Outcome {
+	k := float64(n)
+	if len(phases) == 1 {
+		p := phases[0]
+		return &Outcome{
+			TrueSeconds: k * p.seconds,
+			TrueEnergyJ: k * p.energyJ,
+			Run:         meter.ConstantRun{Seconds: k * p.seconds, Watts: idleW + p.powerW},
+		}
+	}
+	var seconds, energy float64
+	run := &meter.SegmentRun{}
+	for _, p := range phases {
+		seconds += p.seconds
+		energy += p.energyJ
+		run.AddSegment(k*p.seconds, idleW+p.powerW)
+	}
+	return &Outcome{TrueSeconds: k * seconds, TrueEnergyJ: k * energy, Run: run}
+}
+
 // configMismatch builds the error for a Config of the wrong concrete
 // type handed to a device's Run.
 func configMismatch(d Device, c Config) error {

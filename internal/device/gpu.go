@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"energyprop/internal/gpusim"
-	"energyprop/internal/meter"
 )
 
 // GPU adapts a *gpusim.Device. Its dense decision variables are the
@@ -115,8 +114,172 @@ func (CompoundPoint) Key() string { return "compound" }
 // String implements Config.
 func (CompoundPoint) String() string { return "(spmv+stencil)" }
 
-func (g *GPU) matmulWorkload(w Workload) gpusim.MatMulWorkload {
-	return gpusim.MatMulWorkload{N: w.N, Products: w.Products}
+// gpuApp is one GPU application family: its configuration space, how
+// one of its configurations runs, and the configuration a heterogeneous
+// ensemble member runs units instances at (bs is the member's dense
+// block size; nil when the family cannot be distributed).
+type gpuApp struct {
+	configs func(g *GPU, w Workload) ([]Config, error)
+	run     func(g *GPU, w Workload, c Config) (*Outcome, error)
+	unit    func(bs, units int) Config
+}
+
+// gpuApps is the GPU's application-family table; a new family is one
+// entry. It is filled in init rather than by a package-level
+// initializer so that epvet's call graph, which walks function bodies,
+// sees the run functions behind GPU.Run.
+var gpuApps map[string]gpuApp
+
+func init() {
+	gpuApps = map[string]gpuApp{
+		AppDense: {
+			configs: gpuDenseConfigs,
+			run:     gpuDenseRun,
+			unit: func(bs, units int) Config {
+				return GPUPoint{C: gpusim.MatMulConfig{BS: bs, G: 1, R: units}}
+			},
+		},
+		AppFFT: {
+			configs: func(g *GPU, w Workload) ([]Config, error) {
+				if w.N < 2 {
+					return nil, fmt.Errorf("device: FFT size %d must be >= 2", w.N)
+				}
+				return []Config{FFTPoint{}}, nil
+			},
+			run: func(g *GPU, w Workload, c Config) (*Outcome, error) {
+				if _, ok := c.(FFTPoint); !ok {
+					return nil, configMismatch(g, c)
+				}
+				r, err := g.dev.RunFFT2D(w.N)
+				if err != nil {
+					return nil, err
+				}
+				return g.repeat(w, r), nil
+			},
+		},
+		AppSpMV: {
+			configs: func(g *GPU, w Workload) ([]Config, error) {
+				var out []Config
+				for _, l := range gpusim.SpMVLaneSpace() {
+					out = append(out, SpMVPoint{Lanes: l})
+				}
+				return out, nil
+			},
+			run: func(g *GPU, w Workload, c Config) (*Outcome, error) {
+				p, ok := c.(SpMVPoint)
+				if !ok {
+					return nil, configMismatch(g, c)
+				}
+				r, err := g.dev.RunSpMV(w.N, p.Lanes)
+				if err != nil {
+					return nil, err
+				}
+				return g.repeat(w, r), nil
+			},
+			unit: func(int, int) Config { return SpMVPoint{Lanes: gpusim.DefaultSpMVLanes} },
+		},
+		AppStencil: {
+			configs: func(g *GPU, w Workload) ([]Config, error) {
+				var out []Config
+				for _, t := range gpusim.StencilTileSpace() {
+					if t <= w.N {
+						out = append(out, StencilPoint{Tile: t})
+					}
+				}
+				if len(out) == 0 {
+					return nil, fmt.Errorf("device: stencil grid %d smaller than every tile on %s", w.N, g.name)
+				}
+				return out, nil
+			},
+			run: func(g *GPU, w Workload, c Config) (*Outcome, error) {
+				p, ok := c.(StencilPoint)
+				if !ok {
+					return nil, configMismatch(g, c)
+				}
+				r, err := g.dev.RunStencil(w.N, p.Tile)
+				if err != nil {
+					return nil, err
+				}
+				return g.repeat(w, r), nil
+			},
+			unit: func(int, int) Config { return StencilPoint{Tile: gpusim.DefaultStencilTile} },
+		},
+		AppCompound: {
+			configs: func(g *GPU, w Workload) ([]Config, error) {
+				if w.N < gpusim.DefaultStencilTile {
+					return nil, fmt.Errorf("device: compound grid %d must be >= %d on %s", w.N, gpusim.DefaultStencilTile, g.name)
+				}
+				return []Config{CompoundPoint{}}, nil
+			},
+			run: func(g *GPU, w Workload, c Config) (*Outcome, error) {
+				if _, ok := c.(CompoundPoint); !ok {
+					return nil, configMismatch(g, c)
+				}
+				sp, err := g.dev.RunSpMV(w.N, gpusim.DefaultSpMVLanes)
+				if err != nil {
+					return nil, err
+				}
+				st, err := g.dev.RunStencil(w.N, gpusim.DefaultStencilTile)
+				if err != nil {
+					return nil, err
+				}
+				// Both phases back to back per product: a two-segment
+				// staircase whose energy is exactly the sum of the phases.
+				return g.repeat(w, sp, st), nil
+			},
+			unit: func(int, int) Config { return CompoundPoint{} },
+		},
+	}
+}
+
+// gpuDenseConfigs enumerates the paper's (BS, G, R) triples.
+func gpuDenseConfigs(g *GPU, w Workload) ([]Config, error) {
+	raw, err := g.dev.EnumerateConfigs(gpusim.MatMulWorkload{N: w.N, Products: w.Products})
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("device: %s admits no configurations for %v", g.name, w)
+	}
+	out := make([]Config, len(raw))
+	for i, c := range raw {
+		out[i] = GPUPoint{C: c}
+	}
+	return out, nil
+}
+
+// gpuDenseRun runs one (BS, G, R) triple, through the block scheduler
+// unless the device is in analytic mode. The kernel itself covers all
+// Products instances.
+func gpuDenseRun(g *GPU, w Workload, c Config) (*Outcome, error) {
+	p, ok := c.(GPUPoint)
+	if !ok {
+		return nil, configMismatch(g, c)
+	}
+	mw := gpusim.MatMulWorkload{N: w.N, Products: w.Products}
+	idle := g.dev.Spec.IdlePowerW
+	if g.analytic {
+		r, err := g.dev.RunMatMul(mw, p.C)
+		if err != nil {
+			return nil, err
+		}
+		return &Outcome{TrueSeconds: r.Seconds, TrueEnergyJ: r.DynEnergyJ, Run: r.Run(idle)}, nil
+	}
+	r, err := g.dev.RunMatMulTraced(mw, p.C)
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{TrueSeconds: r.TraceSeconds, TrueEnergyJ: r.TraceEnergyJ, Run: r.Run(idle)}, nil
+}
+
+// repeat is the outcome of the workload's instances running the kernel
+// sequence rs back to back.
+func (g *GPU) repeat(w Workload, rs ...*gpusim.Result) *Outcome {
+	phases := make([]phase, len(rs))
+	for i, r := range rs {
+		phases[i] = phase{r.Seconds, r.DynPowerW, r.DynEnergyJ}
+	}
+	return repeat(g.dev.Spec.IdlePowerW, w.Products, phases...)
 }
 
 // Configs implements Device.
@@ -125,51 +288,11 @@ func (g *GPU) Configs(w Workload) ([]Config, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	switch w.App {
-	case AppDense:
-		raw, err := g.dev.EnumerateConfigs(g.matmulWorkload(w))
-		if err != nil {
-			return nil, err
-		}
-		if len(raw) == 0 {
-			return nil, fmt.Errorf("device: %s admits no configurations for %v", g.name, w)
-		}
-		out := make([]Config, len(raw))
-		for i, c := range raw {
-			out[i] = GPUPoint{C: c}
-		}
-		return out, nil
-	case AppFFT:
-		if w.N < 2 {
-			return nil, fmt.Errorf("device: FFT size %d must be >= 2", w.N)
-		}
-		return []Config{FFTPoint{}}, nil
-	case AppSpMV:
-		lanes := gpusim.SpMVLaneSpace()
-		out := make([]Config, len(lanes))
-		for i, l := range lanes {
-			out[i] = SpMVPoint{Lanes: l}
-		}
-		return out, nil
-	case AppStencil:
-		var out []Config
-		for _, t := range gpusim.StencilTileSpace() {
-			if t <= w.N {
-				out = append(out, StencilPoint{Tile: t})
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("device: stencil grid %d smaller than every tile on %s", w.N, g.name)
-		}
-		return out, nil
-	case AppCompound:
-		if w.N < gpusim.DefaultStencilTile {
-			return nil, fmt.Errorf("device: compound grid %d must be >= %d on %s", w.N, gpusim.DefaultStencilTile, g.name)
-		}
-		return []Config{CompoundPoint{}}, nil
-	default:
+	app, ok := gpuApps[w.App]
+	if !ok {
 		return nil, fmt.Errorf("device: %s cannot run application %q", g.name, w.App)
 	}
+	return app.configs(g, w)
 }
 
 // Run implements Device.
@@ -181,91 +304,9 @@ func (g *GPU) Run(ctx context.Context, w Workload, c Config) (*Outcome, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	idle := g.dev.Spec.IdlePowerW
-	switch p := c.(type) {
-	case GPUPoint:
-		if w.App != AppDense {
-			return nil, configMismatch(g, c)
-		}
-		if g.analytic {
-			r, err := g.dev.RunMatMul(g.matmulWorkload(w), p.C)
-			if err != nil {
-				return nil, err
-			}
-			return &Outcome{TrueSeconds: r.Seconds, TrueEnergyJ: r.DynEnergyJ, Run: r.Run(idle)}, nil
-		}
-		tr, err := g.dev.RunMatMulTraced(g.matmulWorkload(w), p.C)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{TrueSeconds: tr.TraceSeconds, TrueEnergyJ: tr.TraceEnergyJ, Run: tr.Run(idle)}, nil
-	case FFTPoint:
-		if w.App != AppFFT {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunFFT2D(w.N)
-		if err != nil {
-			return nil, err
-		}
-		// Independent transforms run back to back.
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case SpMVPoint:
-		if w.App != AppSpMV {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunSpMV(w.N, p.Lanes)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case StencilPoint:
-		if w.App != AppStencil {
-			return nil, configMismatch(g, c)
-		}
-		r, err := g.dev.RunStencil(w.N, p.Tile)
-		if err != nil {
-			return nil, err
-		}
-		n := float64(w.Products)
-		return &Outcome{
-			TrueSeconds: n * r.Seconds,
-			TrueEnergyJ: n * r.DynEnergyJ,
-			Run:         meter.ConstantRun{Seconds: n * r.Seconds, Watts: idle + r.DynPowerW},
-		}, nil
-	case CompoundPoint:
-		if w.App != AppCompound {
-			return nil, configMismatch(g, c)
-		}
-		sp, err := g.dev.RunSpMV(w.N, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return nil, err
-		}
-		st, err := g.dev.RunStencil(w.N, gpusim.DefaultStencilTile)
-		if err != nil {
-			return nil, err
-		}
-		// Both phases back to back per product: a two-segment staircase
-		// whose energy is exactly the sum of the phase energies.
-		n := float64(w.Products)
-		run := &meter.SegmentRun{}
-		run.AddSegment(n*sp.Seconds, idle+sp.DynPowerW)
-		run.AddSegment(n*st.Seconds, idle+st.DynPowerW)
-		return &Outcome{
-			TrueSeconds: n * (sp.Seconds + st.Seconds),
-			TrueEnergyJ: n * (sp.DynEnergyJ + st.DynEnergyJ),
-			Run:         run,
-		}, nil
-	default:
+	app, ok := gpuApps[w.App]
+	if !ok {
 		return nil, configMismatch(g, c)
 	}
+	return app.run(g, w, c)
 }

@@ -7,6 +7,9 @@ import (
 	"sort"
 	"strings"
 
+	"energyprop/internal/cpusim"
+	"energyprop/internal/dense"
+	"energyprop/internal/gpusim"
 	"energyprop/internal/hetero"
 	"energyprop/internal/hw"
 	"energyprop/internal/meter"
@@ -52,11 +55,69 @@ func NewHetero(name, catalog string, idleW float64, labels []string, platform fu
 func NewPaperHetero(name string) *Hetero {
 	idle := hw.Haswell().IdlePowerW + hw.K40c().IdlePowerW + hw.P100().IdlePowerW
 	h, err := NewHetero(name, "Haswell + K40c + P100 (Fig 1 ensemble)", idle,
-		[]string{"haswell", "k40c", "p100"}, hetero.PaperPlatformFor)
+		[]string{"haswell", "k40c", "p100"}, PaperPlatform)
 	if err != nil {
 		panic(err) // static arguments; unreachable
 	}
 	return h
+}
+
+// PaperPlatform returns the paper's Fig 1 ensemble as the distribution
+// solver's processors, each solving units of an unitN-sized instance of
+// the application family: the Haswell node in the balanced two-socket
+// decomposition, and each GPU (model-true) at its energy-optimal block
+// size for the dense family or at the canonical knobs of the bandwidth
+// families. The FFT family exposes no per-unit knob and is not an
+// ensemble application.
+func PaperPlatform(app string, unitN int) []hetero.Processor {
+	app = Workload{App: app}.Normalized().App
+	cpu := CPUPoint{C: dense.Config{Groups: 2, ThreadsPerGroup: 12}}
+	haswell := &CPU{name: "haswell", m: cpusim.NewHaswell()}
+	unit := gpuApps[app].unit
+	gpu := func(name string, dev *gpusim.Device, bs int) hetero.Processor {
+		return unitProcessor{
+			dev: &GPU{name: name, dev: dev, analytic: true}, app: app, unitN: unitN,
+			point: func(units int) Config {
+				if unit == nil {
+					return nil // not distributable: Run reports the mismatch
+				}
+				return unit(bs, units)
+			},
+		}
+	}
+	return []hetero.Processor{
+		unitProcessor{dev: haswell, app: app, unitN: unitN, point: func(int) Config { return cpu }},
+		gpu("k40c", gpusim.NewK40c(), 32),
+		gpu("p100", gpusim.NewP100(), 24),
+	}
+}
+
+// unitProcessor is one ensemble member as the distribution solver sees
+// it: a device solving units instances of one family, back to back, at
+// the configuration point returns for that many units.
+type unitProcessor struct {
+	dev   Device
+	app   string
+	unitN int
+	point func(units int) Config
+}
+
+// Name implements hetero.Processor.
+func (p unitProcessor) Name() string { return p.dev.Spec().CatalogName }
+
+// RunUnits implements hetero.Processor.
+func (p unitProcessor) RunUnits(units int) (float64, float64, error) {
+	if units < 0 {
+		return 0, 0, errors.New("device: negative units")
+	}
+	if units == 0 {
+		return 0, 0, nil
+	}
+	out, err := p.dev.Run(context.Background(), Workload{App: p.app, N: p.unitN, Products: units}, p.point(units))
+	if err != nil {
+		return 0, 0, err
+	}
+	return out.TrueSeconds, out.TrueEnergyJ, nil
 }
 
 // Name implements Device.
@@ -96,12 +157,10 @@ func (p HeteroPoint) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Configs implements Device: every composition of w.Products units over
-// the ensemble's processors, in lexicographic order. The workload is
-// validated by probing each processor with one unit, so a size no
-// processor can run surfaces here as an error rather than mid-campaign.
-func (h *Hetero) Configs(w Workload) ([]Config, error) {
-	w = w.Normalized()
+// processors validates the workload and builds the ensemble's
+// processors for its application family. The FFT family exposes no
+// per-unit knob, so it cannot be distributed.
+func (h *Hetero) processors(w Workload) ([]hetero.Processor, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,6 +170,19 @@ func (h *Hetero) Configs(w Workload) ([]Config, error) {
 	procs := h.platform(w.App, w.N)
 	if len(procs) != len(h.labels) {
 		return nil, fmt.Errorf("device: %s platform has %d processors, %d labels", h.name, len(procs), len(h.labels))
+	}
+	return procs, nil
+}
+
+// Configs implements Device: every composition of w.Products units over
+// the ensemble's processors, in lexicographic order. The workload is
+// validated by probing each processor with one unit, so a size no
+// processor can run surfaces here as an error rather than mid-campaign.
+func (h *Hetero) Configs(w Workload) ([]Config, error) {
+	w = w.Normalized()
+	procs, err := h.processors(w)
+	if err != nil {
+		return nil, err
 	}
 	for i, p := range procs {
 		if _, _, err := p.RunUnits(1); err != nil {
@@ -160,12 +232,9 @@ func (h *Hetero) Run(ctx context.Context, w Workload, c Config) (*Outcome, error
 	if total != w.Products {
 		return nil, fmt.Errorf("device: distribution %v sums to %d units, workload has %d", c, total, w.Products)
 	}
-	if w.App == AppFFT {
-		return nil, fmt.Errorf("device: %s cannot distribute the FFT family (no per-unit knob)", h.name)
-	}
-	procs := h.platform(w.App, w.N)
-	if len(procs) != p.NP {
-		return nil, configMismatch(h, c)
+	procs, err := h.processors(w)
+	if err != nil {
+		return nil, err
 	}
 	type share struct{ seconds, powerW float64 }
 	var shares []share

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/pareto"
@@ -30,7 +32,11 @@ func runCampaign(opt Options) ([]*Table, error) {
 	}
 	spec := campaign.DefaultSpec(opt.Seed)
 	spec.Workers = opt.Workers
-	res, err := campaign.Run(dev, w, spec)
+	configs, err := dev.Configs(w)
+	if err != nil {
+		return nil, err
+	}
+	res, err := campaign.RunConfigs(context.Background(), dev, w, configs, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func runCPUFFT(opt Options) ([]*Table, error) {
 		if cfg.Threads() > n {
 			continue
 		}
-		r, err := m.RunFFT2DThreaded(n, cfg)
+		r, err := m.RunFFT2DThreaded(n, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

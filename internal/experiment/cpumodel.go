@@ -35,7 +35,7 @@ func runCPUModel(opt Options) ([]*Table, error) {
 	var r cpusim.Result // reused across the sweep; warm runs are allocation-free
 	for _, cfg := range m.EnumerateConfigs() {
 		for _, v := range []dense.Variant{dense.VariantPacked, dense.VariantTiled} {
-			if err := m.RunGEMMInto(cpusim.GEMMApp{N: n, Config: cfg, Variant: v}, &r); err != nil {
+			if _, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: v}, &r); err != nil {
 				return nil, err
 			}
 			c, err := m.CollectPMC(&r)

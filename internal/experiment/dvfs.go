@@ -42,7 +42,7 @@ func runDVFS(opt Options) ([]*Table, error) {
 	var cfgPts []pareto.Point
 	var r cpusim.Result // reused across the sweep; warm runs are allocation-free
 	for _, cfg := range m.EnumerateConfigs() {
-		if err := m.RunGEMMInto(cpusim.GEMMApp{N: n, Config: cfg, Variant: dense.VariantPacked}, &r); err != nil {
+		if _, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: dense.VariantPacked}, &r); err != nil {
 			return nil, err
 		}
 		cfgPts = append(cfgPts, pareto.Point{Label: cfg.String(), Time: r.Seconds, Energy: r.DynEnergyJ})

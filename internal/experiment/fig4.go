@@ -33,7 +33,7 @@ func runFig4(opt Options) ([]*Table, error) {
 		peak := 0.0
 		var r cpusim.Result // reused across the sweep; warm runs are allocation-free
 		for _, cfg := range m.EnumerateConfigs() {
-			if err := m.RunGEMMInto(cpusim.GEMMApp{N: n, Config: cfg, Variant: v}, &r); err != nil {
+			if _, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: v}, &r); err != nil {
 				return nil, err
 			}
 			// Average CPU utilization via the /proc/stat code path, as

@@ -21,7 +21,7 @@ func runFig4Points(opt Options) ([]*Table, error) {
 		n = 4352
 	}
 	m := cpusim.NewHaswell()
-	run := func(app cpusim.GEMMApp) (*cpusim.Result, error) { return m.RunGEMM(app) }
+	run := func(app cpusim.GEMMApp) (*cpusim.Result, error) { return m.RunGEMM(app, nil) }
 
 	// Case A/B: same configuration size, but one run places two of its
 	// threads on hyperthread siblings (compact) instead of separate

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"energyprop/internal/device"
 	"energyprop/internal/hetero"
 	"energyprop/internal/optimize"
 	"energyprop/internal/pareto"
@@ -27,7 +28,7 @@ func runGranularity(opt Options) ([]*Table, error) {
 			"max_saving_pct", "hypervolume_per_unit2"},
 	}
 	for _, units := range unitSets {
-		ds, err := hetero.Distribute(hetero.PaperPlatform(unitN), units)
+		ds, err := hetero.Distribute(device.PaperPlatform(device.AppDense, unitN), units)
 		if err != nil {
 			return nil, err
 		}

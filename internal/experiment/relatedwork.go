@@ -41,7 +41,7 @@ func runRelatedWork(opt Options) ([]*Table, error) {
 	} {
 		var utils, powers []float64
 		for _, cfg := range mc.m.EnumerateConfigs() {
-			r, err := mc.m.RunGEMM(cpusim.GEMMApp{N: mc.n, Config: cfg, Variant: dense.VariantPacked})
+			r, err := mc.m.RunGEMM(cpusim.GEMMApp{N: mc.n, Config: cfg, Variant: dense.VariantPacked}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -142,7 +142,7 @@ func svgFig4(opt Options) (*plot.Plot, error) {
 	for _, v := range []dense.Variant{dense.VariantPacked, dense.VariantTiled} {
 		var xs, ys []float64
 		for _, cfg := range m.EnumerateConfigs() {
-			r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: v})
+			r, err := m.RunGEMM(cpusim.GEMMApp{N: n, Config: cfg, Variant: v}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"energyprop/internal/campaign"
@@ -54,10 +55,14 @@ func runRecordStruct(t testing.TB, dev device.Device, w device.Workload, spec ca
 	return rec
 }
 
+// marshalRecord serializes a materialized record the way the indented
+// store.CampaignWriter streams one, for byte comparison.
 func marshalRecord(t testing.TB, rec *store.CampaignRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.SaveCampaign(&buf, rec); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rec); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -35,7 +35,7 @@ func (d *Device) RunCUBLASDGEMM(w MatMulWorkload) (*Result, error) {
 		return nil, err
 	}
 	perf := r.Profile.AchievedGFLOPs * cublasSpeedup
-	seconds := float64(w.Products)*r.Profile.FlopsPerProduct/(perf*1e9) + d.cal.launchOverheadS
+	seconds := r.Work/(perf*1e9) + d.cal.launchOverheadS
 	// Power scales with the higher pipe duty, bounded by the TDP envelope.
 	power := r.DynPowerW * (1 + 0.35*(cublasSpeedup-1))
 	if max := d.Spec.TDPWatts - d.Spec.IdlePowerW; power > max {
@@ -46,6 +46,6 @@ func (d *Device) RunCUBLASDGEMM(w MatMulWorkload) (*Result, error) {
 	out.Seconds = seconds
 	out.DynPowerW = power
 	out.DynEnergyJ = power * seconds
-	out.GFLOPs = float64(w.Products) * r.Profile.FlopsPerProduct / seconds / 1e9
+	out.GFLOPs = r.Work / seconds / 1e9
 	return &out, nil
 }

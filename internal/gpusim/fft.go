@@ -5,33 +5,16 @@ import (
 	"math"
 
 	"energyprop/internal/fft"
-	"energyprop/internal/meter"
 )
-
-// FFTResult is one point of the strong-EP study (Fig 1): the device
-// computing the 2D DFT of an N×N complex signal, with the paper's work
-// model W = 5·N²·log₂N.
-type FFTResult struct {
-	N          int
-	Work       float64
-	Seconds    float64
-	DynPowerW  float64
-	DynEnergyJ float64
-	GFLOPs     float64
-}
-
-// Run adapts the result to a meter.Run.
-func (r *FFTResult) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
-}
 
 // RunFFT2D models a CUFFT-style 2D transform of an N×N complex signal.
 // The model's regimes are what make dynamic energy a "complex non-linear
 // function of work" (the paper's Fig 1 finding): the signal fitting or
 // spilling the L2 cache, a strided column pass whose coalescing efficiency
 // degrades for wide rows, and radix efficiency differing between even and
-// odd log₂N stages.
-func (d *Device) RunFFT2D(n int) (*FFTResult, error) {
+// odd log₂N stages. The result is one point of the strong-EP study
+// (Fig 1), with the paper's work model W = 5·N²·log₂N.
+func (d *Device) RunFFT2D(n int) (*Result, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("gpusim: FFT size %d must be >= 2", n)
 	}
@@ -73,12 +56,5 @@ func (d *Device) RunFFT2D(n int) (*FFTResult, error) {
 	uPipes := perf / spec.PeakGFLOPsFP64
 	uMem := math.Min(1, perf/memArm)
 	power := spec.BasePowerW + spec.ComputePowerW*uPipes*1.1 + spec.MemPowerW*uMem
-	return &FFTResult{
-		N:          n,
-		Work:       work,
-		Seconds:    seconds,
-		DynPowerW:  power,
-		DynEnergyJ: power * seconds,
-		GFLOPs:     perf,
-	}, nil
+	return kernelResult(n, work, seconds, power), nil
 }

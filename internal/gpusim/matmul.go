@@ -102,11 +102,19 @@ func (d *Device) EnumerateConfigs(w MatMulWorkload) ([]MatMulConfig, error) {
 	return out, nil
 }
 
-// Result is the simulated outcome of running one configuration: the
-// quantities the paper plots for every data point.
+// Result is the simulated outcome of one kernel run — the single result
+// shape of every application family (matmul, CUBLAS, FFT, SpMV,
+// stencil): the quantities the paper plots for every data point. The
+// matmul-only fields (Config, Power, FetchEngineActive, Profile) are zero
+// for the other families, and the trace fields are set only by
+// RunMatMulTraced.
 type Result struct {
+	// Workload is the solved problem; the single-kernel families report
+	// their size as N with Products 1.
 	Workload MatMulWorkload
 	Config   MatMulConfig
+	// Work is the flop count of the whole run.
+	Work float64
 	// Seconds is the kernel execution time (the paper measures only the
 	// CUDA kernel invocations).
 	Seconds float64
@@ -122,6 +130,15 @@ type Result struct {
 	GFLOPs float64
 	// Profile is the underlying kernel model evaluation.
 	Profile KernelProfile
+	// Trace is the block scheduler's piecewise-constant dynamic power
+	// profile; nil for an analytic result.
+	Trace []TracePoint
+	// TraceSeconds is the scheduled makespan (it can differ slightly from
+	// the analytic Seconds because of wave quantization and the fill
+	// stagger).
+	TraceSeconds float64
+	// TraceEnergyJ integrates the trace.
+	TraceEnergyJ float64
 }
 
 // RunMatMul executes (analytically) the workload under the given
@@ -139,24 +156,51 @@ func (d *Device) RunMatMul(w MatMulWorkload, c MatMulConfig) (*Result, error) {
 	pw.FetchW = d.Spec.FetchEnginePowerW * duty
 
 	energy := pw.TotalW() * seconds
+	work := float64(w.Products) * p.FlopsPerProduct
 	return &Result{
 		Workload:          w,
 		Config:            c,
+		Work:              work,
 		Seconds:           seconds,
 		DynPowerW:         pw.TotalW(),
 		DynEnergyJ:        energy,
 		Power:             pw,
 		FetchEngineActive: duty > 0,
-		GFLOPs:            float64(w.Products) * p.FlopsPerProduct / seconds / 1e9,
+		GFLOPs:            work / seconds / 1e9,
 		Profile:           p,
 	}, nil
 }
 
+// kernelResult is the Result of a single-kernel family: one run of size
+// n doing work flops in seconds at the given dynamic power.
+func kernelResult(n int, work, seconds, powerW float64) *Result {
+	return &Result{
+		Workload:   MatMulWorkload{N: n, Products: 1},
+		Work:       work,
+		Seconds:    seconds,
+		DynPowerW:  powerW,
+		DynEnergyJ: powerW * seconds,
+		GFLOPs:     work / seconds / 1e9,
+	}
+}
+
 // Run adapts the result to a meter.Run so the WattsUp-style measurement
 // pipeline (idle baseline + sampling noise + the statistical loop) can
-// observe it end to end.
+// observe it end to end: the scheduler's temporal profile (ramp, steady
+// state, tail) for a traced result, a constant profile otherwise.
 func (r *Result) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
+	if r.Trace == nil {
+		return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
+	}
+	seg := &meter.SegmentRun{}
+	for i := 0; i < len(r.Trace); i++ {
+		end := r.TraceSeconds
+		if i+1 < len(r.Trace) {
+			end = r.Trace[i+1].Seconds
+		}
+		seg.AddSegment(end-r.Trace[i].Seconds, idlePowerW+r.Trace[i].PowerW)
+	}
+	return seg
 }
 
 // SweepOptions tunes the parallel sweep engine.

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestSweepContextMatchesSerial(t *testing.T) {
 			t.Fatalf("%s: %d vs %d results", dev.Spec.Name, len(serial), len(par))
 		}
 		for i := range serial {
-			if *serial[i] != *par[i] {
+			if !reflect.DeepEqual(serial[i], par[i]) {
 				t.Fatalf("%s: result %d differs between 1 and 8 workers:\n%+v\n%+v",
 					dev.Spec.Name, i, serial[i], par[i])
 			}
@@ -83,7 +84,7 @@ func TestClockSweepContextMatchesSerial(t *testing.T) {
 		t.Fatal("level counts differ")
 	}
 	for i := range serial {
-		if levels1[i] != levels2[i] || *serial[i] != *par[i] {
+		if levels1[i] != levels2[i] || !reflect.DeepEqual(serial[i], par[i]) {
 			t.Fatalf("clock level %d differs between serial and parallel", i)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"energyprop/internal/meter"
 )
 
 // Block scheduler: where matmul.go's analytic model gives each
@@ -32,22 +30,9 @@ type TracePoint struct {
 	PowerW float64
 }
 
-// TracedResult is a scheduled execution: the analytic result plus the
-// power trace the scheduler produced.
-type TracedResult struct {
-	*Result
-	// Trace is the piecewise-constant dynamic power profile.
-	Trace []TracePoint
-	// TraceSeconds is the scheduled makespan (it can differ slightly from
-	// the analytic Seconds because of wave quantization and the fill
-	// stagger).
-	TraceSeconds float64
-	// TraceEnergyJ integrates the trace.
-	TraceEnergyJ float64
-}
-
-// RunMatMulTraced executes the workload through the block scheduler.
-func (d *Device) RunMatMulTraced(w MatMulWorkload, c MatMulConfig) (*TracedResult, error) {
+// RunMatMulTraced executes the workload through the block scheduler: the
+// analytic result plus the power trace the scheduler produced.
+func (d *Device) RunMatMulTraced(w MatMulWorkload, c MatMulConfig) (*Result, error) {
 	r, err := d.RunMatMul(w, c)
 	if err != nil {
 		return nil, err
@@ -132,25 +117,6 @@ func (d *Device) RunMatMulTraced(w MatMulWorkload, c MatMulConfig) (*TracedResul
 		}
 		energy += trace[i].PowerW * (end - trace[i].Seconds)
 	}
-	return &TracedResult{
-		Result:       r,
-		Trace:        trace,
-		TraceSeconds: makespan,
-		TraceEnergyJ: energy,
-	}, nil
-}
-
-// Run adapts the traced result to a meter.Run with the real temporal
-// profile (ramp, steady state, tail), so the WattsUp pipeline sees what a
-// physical meter would.
-func (tr *TracedResult) Run(idlePowerW float64) meter.Run {
-	seg := &meter.SegmentRun{}
-	for i := 0; i < len(tr.Trace); i++ {
-		end := tr.TraceSeconds
-		if i+1 < len(tr.Trace) {
-			end = tr.Trace[i+1].Seconds
-		}
-		seg.AddSegment(end-tr.Trace[i].Seconds, idlePowerW+tr.Trace[i].PowerW)
-	}
-	return seg
+	r.Trace, r.TraceSeconds, r.TraceEnergyJ = trace, makespan, energy
+	return r, nil
 }

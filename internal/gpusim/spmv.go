@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"energyprop/internal/meter"
 	"energyprop/internal/workload"
 )
 
@@ -36,24 +35,8 @@ func ValidSpMVLanes(lanes int) bool {
 	return false
 }
 
-// SpMVResult is one point of the SpMV family: y = A·x over the
-// synthetic banded CSR matrix of internal/workload.
-type SpMVResult struct {
-	N          int
-	Lanes      int
-	Work       float64
-	Seconds    float64
-	DynPowerW  float64
-	DynEnergyJ float64
-	GFLOPs     float64
-}
-
-// Run adapts the result to a meter.Run.
-func (r *SpMVResult) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
-}
-
-// RunSpMV models a CSR-vector SpMV kernel with the given lane count.
+// RunSpMV models a CSR-vector SpMV kernel with the given lane count: y =
+// A·x over the synthetic banded CSR matrix of internal/workload.
 // The model is memory-side: the CSR stream (values + column indices) is
 // compulsory DRAM traffic whose coalescing improves with the lane
 // count, the x gather hits L2 while the vector fits, and lanes beyond
@@ -61,7 +44,7 @@ func (r *SpMVResult) Run(idlePowerW float64) meter.Run {
 // memory system, with an issue-activity term that grows with the lane
 // count — which is what spreads the family's points into a real
 // time/energy trade-off.
-func (d *Device) RunSpMV(n, lanes int) (*SpMVResult, error) {
+func (d *Device) RunSpMV(n, lanes int) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gpusim: SpMV size %d must be >= 1", n)
 	}
@@ -106,13 +89,5 @@ func (d *Device) RunSpMV(n, lanes int) (*SpMVResult, error) {
 	// for the per-row reduction.
 	issue := 0.012 * float64(lanes)
 	power := spec.BasePowerW + spec.ComputePowerW*(uPipes*1.2+issue) + spec.MemPowerW*uMem
-	return &SpMVResult{
-		N:          n,
-		Lanes:      lanes,
-		Work:       work,
-		Seconds:    seconds,
-		DynPowerW:  power,
-		DynEnergyJ: power * seconds,
-		GFLOPs:     perf / 1e9,
-	}, nil
+	return kernelResult(n, work, seconds, power), nil
 }

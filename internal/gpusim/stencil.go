@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"energyprop/internal/meter"
 	"energyprop/internal/workload"
 )
 
@@ -34,29 +33,13 @@ func ValidStencilTile(tile int) bool {
 	return false
 }
 
-// StencilResult is one point of the stencil family: a 5-point Jacobi
-// sweep over an n×n grid.
-type StencilResult struct {
-	N          int
-	Tile       int
-	Work       float64
-	Seconds    float64
-	DynPowerW  float64
-	DynEnergyJ float64
-	GFLOPs     float64
-}
-
-// Run adapts the result to a meter.Run.
-func (r *StencilResult) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
-}
-
-// RunStencil models a shared-memory tiled 5-point stencil sweep. The
+// RunStencil models a shared-memory tiled 5-point Jacobi sweep over an
+// n×n grid. The
 // model is memory-side: each tile stages a (T+2)² halo region, so
 // smaller tiles inflate traffic; wider tiles coalesce better but the
 // 32-wide tile's shared footprint caps resident blocks per SM. Like the
 // other bandwidth-bound family, dynamic power follows memory activity.
-func (d *Device) RunStencil(n, tile int) (*StencilResult, error) {
+func (d *Device) RunStencil(n, tile int) (*Result, error) {
 	if !ValidStencilTile(tile) {
 		return nil, fmt.Errorf("gpusim: stencil tile %d not in %v", tile, stencilTileSpace)
 	}
@@ -96,13 +79,5 @@ func (d *Device) RunStencil(n, tile int) (*StencilResult, error) {
 	// Shared-memory staging and barriers add issue activity that grows
 	// with occupancy.
 	power := spec.BasePowerW + spec.ComputePowerW*(uPipes*1.3+0.10*occ) + spec.MemPowerW*uMem
-	return &StencilResult{
-		N:          n,
-		Tile:       tile,
-		Work:       work,
-		Seconds:    seconds,
-		DynPowerW:  power,
-		DynEnergyJ: power * seconds,
-		GFLOPs:     perf / 1e9,
-	}, nil
+	return kernelResult(n, work, seconds, power), nil
 }

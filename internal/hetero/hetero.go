@@ -1,19 +1,18 @@
-// Package hetero assembles the heterogeneous platform of the paper's
-// companion work (its ref [12]: bi-objective optimization of hybrid
-// data-parallel applications on CPU+GPU platforms): it builds discrete
-// per-processor time/energy profiles by running unit workloads on the
-// simulated devices and feeds them to the workload-distribution solver in
-// internal/optimize. This is also exactly the hardware ensemble of the
-// paper's Fig 1 (one Haswell node, one K40c, one P100).
+// Package hetero is the heterogeneous platform of the paper's companion
+// work (its ref [12]: bi-objective optimization of hybrid data-parallel
+// applications on CPU+GPU platforms): it builds discrete per-processor
+// time/energy profiles by running unit workloads on a set of processors
+// and feeds them to the workload-distribution solver in
+// internal/optimize. device.PaperPlatform builds the paper's Fig 1
+// ensemble (one Haswell node, one K40c, one P100) as such processors,
+// running each family through the same device tables every campaign
+// uses.
 package hetero
 
 import (
 	"errors"
 	"fmt"
 
-	"energyprop/internal/cpusim"
-	"energyprop/internal/dense"
-	"energyprop/internal/gpusim"
 	"energyprop/internal/optimize"
 )
 
@@ -25,126 +24,6 @@ type Processor interface {
 	// RunUnits returns the execution time and dynamic energy of solving
 	// the given number of units. RunUnits(0) must return (0, 0, nil).
 	RunUnits(units int) (seconds, dynEnergyJ float64, err error)
-}
-
-// CPUProcessor adapts a cpusim machine running unit applications under a
-// fixed threadgroup configuration. App selects the family ("dgemm" when
-// empty, "spmv", "stencil", or "compound" — one SpMV then one stencil
-// sweep per unit).
-type CPUProcessor struct {
-	Machine *cpusim.Machine
-	UnitN   int
-	Config  dense.Config
-	Variant dense.Variant
-	App     string
-}
-
-// Name implements Processor.
-func (c *CPUProcessor) Name() string { return c.Machine.Spec.Name }
-
-// RunUnits implements Processor. Units run back to back, so time and
-// energy scale linearly with the count.
-func (c *CPUProcessor) RunUnits(units int) (float64, float64, error) {
-	if units < 0 {
-		return 0, 0, errors.New("hetero: negative units")
-	}
-	if units == 0 {
-		return 0, 0, nil
-	}
-	secs, energy, err := c.runUnit()
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(units) * secs, float64(units) * energy, nil
-}
-
-// runUnit solves one unit of the processor's application family.
-func (c *CPUProcessor) runUnit() (float64, float64, error) {
-	var r *cpusim.Result
-	var err error
-	switch c.App {
-	case "", "dgemm":
-		r, err = c.Machine.RunGEMM(cpusim.GEMMApp{N: c.UnitN, Config: c.Config, Variant: c.Variant})
-	case "spmv":
-		r, err = c.Machine.RunSpMVThreaded(c.UnitN, c.Config)
-	case "stencil":
-		r, err = c.Machine.RunStencilThreaded(c.UnitN, c.Config)
-	case "compound":
-		sp, serr := c.Machine.RunSpMVThreaded(c.UnitN, c.Config)
-		if serr != nil {
-			return 0, 0, serr
-		}
-		st, serr := c.Machine.RunStencilThreaded(c.UnitN, c.Config)
-		if serr != nil {
-			return 0, 0, serr
-		}
-		return sp.Seconds + st.Seconds, sp.DynEnergyJ + st.DynEnergyJ, nil
-	default:
-		return 0, 0, fmt.Errorf("hetero: CPU processor cannot run application %q", c.App)
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Seconds, r.DynEnergyJ, nil
-}
-
-// GPUProcessor adapts a gpusim device running unit applications. The
-// dense family (App empty or "dgemm") runs at a fixed block size
-// (typically the device's energy- or time-optimal BS); the bandwidth
-// families run at their canonical knobs (DefaultSpMVLanes,
-// DefaultStencilTile).
-type GPUProcessor struct {
-	Device *gpusim.Device
-	UnitN  int
-	BS     int
-	App    string
-}
-
-// Name implements Processor.
-func (g *GPUProcessor) Name() string { return g.Device.Spec.Name }
-
-// RunUnits implements Processor.
-func (g *GPUProcessor) RunUnits(units int) (float64, float64, error) {
-	if units < 0 {
-		return 0, 0, errors.New("hetero: negative units")
-	}
-	if units == 0 {
-		return 0, 0, nil
-	}
-	switch g.App {
-	case "", "dgemm":
-		r, err := g.Device.RunMatMul(
-			gpusim.MatMulWorkload{N: g.UnitN, Products: units},
-			gpusim.MatMulConfig{BS: g.BS, G: 1, R: units})
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Seconds, r.DynEnergyJ, nil
-	case "spmv":
-		r, err := g.Device.RunSpMV(g.UnitN, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * r.Seconds, float64(units) * r.DynEnergyJ, nil
-	case "stencil":
-		r, err := g.Device.RunStencil(g.UnitN, gpusim.DefaultStencilTile)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * r.Seconds, float64(units) * r.DynEnergyJ, nil
-	case "compound":
-		sp, err := g.Device.RunSpMV(g.UnitN, gpusim.DefaultSpMVLanes)
-		if err != nil {
-			return 0, 0, err
-		}
-		st, err := g.Device.RunStencil(g.UnitN, gpusim.DefaultStencilTile)
-		if err != nil {
-			return 0, 0, err
-		}
-		return float64(units) * (sp.Seconds + st.Seconds), float64(units) * (sp.DynEnergyJ + st.DynEnergyJ), nil
-	default:
-		return 0, 0, fmt.Errorf("hetero: GPU processor cannot run application %q", g.App)
-	}
 }
 
 // BuildProfile runs the processor at every unit count 0..maxUnits and
@@ -187,30 +66,4 @@ func Distribute(procs []Processor, totalUnits int) ([]optimize.Distribution, err
 		profiles[i] = prof
 	}
 	return optimize.DistributeWorkload(totalUnits, profiles)
-}
-
-// PaperPlatform returns the paper's Fig 1 ensemble — the Haswell node, the
-// K40c, and the P100 — with each GPU at its energy-optimal block size and
-// the CPU in the balanced two-socket configuration.
-func PaperPlatform(unitN int) []Processor {
-	return PaperPlatformFor("dgemm", unitN)
-}
-
-// PaperPlatformFor is PaperPlatform running a named application family
-// ("dgemm", "spmv", "stencil", or "compound"; the FFT families expose no
-// distribution knob and are not ensemble applications). The CPU keeps the
-// balanced two-socket decomposition; GPUs run the bandwidth families at
-// their canonical knobs.
-func PaperPlatformFor(app string, unitN int) []Processor {
-	return []Processor{
-		&CPUProcessor{
-			Machine: cpusim.NewHaswell(),
-			UnitN:   unitN,
-			Config:  dense.Config{Groups: 2, ThreadsPerGroup: 12},
-			Variant: dense.VariantPacked,
-			App:     app,
-		},
-		&GPUProcessor{Device: gpusim.NewK40c(), UnitN: unitN, BS: 32, App: app},
-		&GPUProcessor{Device: gpusim.NewP100(), UnitN: unitN, BS: 24, App: app},
-	}
 }

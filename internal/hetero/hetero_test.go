@@ -1,17 +1,21 @@
-package hetero
+package hetero_test
 
 import (
 	"testing"
 
-	"energyprop/internal/cpusim"
-	"energyprop/internal/dense"
-	"energyprop/internal/gpusim"
+	"energyprop/internal/device"
+	"energyprop/internal/hetero"
 	"energyprop/internal/optimize"
 	"energyprop/internal/pareto"
 )
 
+// paperPlatform is the Fig 1 ensemble on the dense family.
+func paperPlatform(unitN int) []hetero.Processor {
+	return device.PaperPlatform(device.AppDense, unitN)
+}
+
 func TestProcessorsZeroUnits(t *testing.T) {
-	for _, p := range PaperPlatform(1024) {
+	for _, p := range paperPlatform(1024) {
 		s, e, err := p.RunUnits(0)
 		if err != nil || s != 0 || e != 0 {
 			t.Errorf("%s: RunUnits(0) = (%v,%v,%v), want (0,0,nil)", p.Name(), s, e, err)
@@ -23,7 +27,7 @@ func TestProcessorsZeroUnits(t *testing.T) {
 }
 
 func TestProcessorsScaleLinearly(t *testing.T) {
-	for _, p := range PaperPlatform(2048) {
+	for _, p := range paperPlatform(2048) {
 		s1, e1, err := p.RunUnits(1)
 		if err != nil {
 			t.Fatal(err)
@@ -44,8 +48,8 @@ func TestProcessorsScaleLinearly(t *testing.T) {
 }
 
 func TestBuildProfileValid(t *testing.T) {
-	p := &GPUProcessor{Device: gpusim.NewP100(), UnitN: 2048, BS: 24}
-	prof, err := BuildProfile(p, 5)
+	p := paperPlatform(2048)[2] // the P100 at its energy-optimal BS=24
+	prof, err := hetero.BuildProfile(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +61,16 @@ func TestBuildProfileValid(t *testing.T) {
 			t.Errorf("time not increasing at %d units", w)
 		}
 	}
-	if _, err := BuildProfile(nil, 5); err == nil {
+	if _, err := hetero.BuildProfile(nil, 5); err == nil {
 		t.Error("nil processor: want error")
 	}
-	if _, err := BuildProfile(p, 0); err == nil {
+	if _, err := hetero.BuildProfile(p, 0); err == nil {
 		t.Error("maxUnits=0: want error")
 	}
 }
 
 func TestDistributeAcrossPaperPlatform(t *testing.T) {
-	ds, err := Distribute(PaperPlatform(2048), 8)
+	ds, err := hetero.Distribute(paperPlatform(2048), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,18 +102,13 @@ func TestDistributeAcrossPaperPlatform(t *testing.T) {
 }
 
 func TestDistributeValidation(t *testing.T) {
-	if _, err := Distribute(nil, 4); err == nil {
+	if _, err := hetero.Distribute(nil, 4); err == nil {
 		t.Error("no processors: want error")
 	}
 }
 
 func TestCPUProcessorAdapter(t *testing.T) {
-	p := &CPUProcessor{
-		Machine: cpusim.NewHaswell(),
-		UnitN:   2048,
-		Config:  dense.Config{Groups: 2, ThreadsPerGroup: 6},
-		Variant: dense.VariantTiled,
-	}
+	p := paperPlatform(2048)[0]
 	s, e, err := p.RunUnits(2)
 	if err != nil {
 		t.Fatal(err)

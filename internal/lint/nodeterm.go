@@ -14,7 +14,6 @@ var determScoped = map[string]bool{
 	"energyprop/internal/cpusim":     true,
 	"energyprop/internal/dense":      true,
 	"energyprop/internal/meter":      true,
-	"energyprop/internal/sched":      true,
 	"energyprop/internal/campaign":   true,
 	"energyprop/internal/device":     true,
 	"energyprop/internal/service":    true,

@@ -61,7 +61,7 @@ func main() {
 }
 
 func TestNoDetermResolvesRenamedImports(t *testing.T) {
-	src := `package sched
+	src := `package policy
 
 import (
 	mrand "math/rand"
@@ -77,7 +77,7 @@ func decoy() int {
 	return rand.Intn(3)
 }
 `
-	checkFixture(t, []Rule{NoDeterm{}}, "energyprop/internal/sched", src, []want{
+	checkFixture(t, []Rule{NoDeterm{}}, "energyprop/internal/policy", src, []want{
 		{line: 8, rule: "nodeterm", substr: "rand.Int"},
 	})
 }

@@ -1,6 +1,6 @@
 // Package parallel is the bounded worker-pool substrate behind every
 // fan-out hot path: GPU configuration sweeps (gpusim.Sweep, ClockSweep),
-// measured campaigns (campaign.Run), and the HTTP /sweep endpoint. It
+// measured campaigns (campaign.Stream), and the HTTP /sweep endpoint. It
 // exists so that "run f over N independent items on W goroutines, keep
 // the results in item order, stop early on error or cancellation" is
 // written — and tested under -race — exactly once.

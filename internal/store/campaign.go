@@ -130,19 +130,6 @@ func (c *CampaignRecord) Validate() error {
 	return nil
 }
 
-// SaveCampaign writes the record as indented JSON.
-func SaveCampaign(w io.Writer, rec *CampaignRecord) error {
-	if rec == nil {
-		return errors.New("store: nil record")
-	}
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rec)
-}
-
 // LoadCampaign reads and validates a record.
 func LoadCampaign(r io.Reader) (*CampaignRecord, error) {
 	var rec CampaignRecord

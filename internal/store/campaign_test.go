@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -25,12 +27,23 @@ func degradedRecord() *CampaignRecord {
 	}
 }
 
+// saveCampaign writes a materialized record as indented JSON: the
+// byte-identity oracle CampaignWriter's indented mode must reproduce.
+func saveCampaign(w io.Writer, rec *CampaignRecord) error {
+	if err := rec.Validate(); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rec)
+}
+
 // TestCampaignFailedRoundTrip: a degraded record (results + failed)
 // survives save/load byte-exactly, attempts included.
 func TestCampaignFailedRoundTrip(t *testing.T) {
 	rec := degradedRecord()
 	var buf bytes.Buffer
-	if err := SaveCampaign(&buf, rec); err != nil {
+	if err := saveCampaign(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	first := buf.String()
@@ -45,7 +58,7 @@ func TestCampaignFailedRoundTrip(t *testing.T) {
 		t.Errorf("attempts did not round-trip: %+v", got.Results)
 	}
 	var buf2 bytes.Buffer
-	if err := SaveCampaign(&buf2, got); err != nil {
+	if err := saveCampaign(&buf2, got); err != nil {
 		t.Fatal(err)
 	}
 	if first != buf2.String() {
@@ -60,7 +73,7 @@ func TestCampaignAttemptsOmittedWhenZero(t *testing.T) {
 	rec.Failed = nil
 	rec.Results[0].Attempts = 0
 	var buf bytes.Buffer
-	if err := SaveCampaign(&buf, rec); err != nil {
+	if err := saveCampaign(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	for _, forbidden := range []string{`"attempts"`, `"failed"`} {

@@ -13,8 +13,8 @@ import (
 // CampaignWriter emits a CampaignRecord incrementally, point by point,
 // without ever materializing the []MeasuredPoint slice — the streaming
 // back end of the campaign sink pipeline. The bytes produced are
-// identical to SaveCampaign (indented mode) or to a plain
-// json.Encoder.Encode of the assembled record (Compact mode), so
+// identical to a json.Encoder.Encode of the assembled record — with
+// two-space indentation by default, plain in Compact mode — so
 // consumers cannot tell a streamed record from a materialized one.
 //
 // Usage: NewCampaignWriter validates the header identity up front,
@@ -69,8 +69,8 @@ func NewCampaignWriter(w io.Writer, deviceName, kind string, workload device.Wor
 }
 
 // Compact switches the writer to compact JSON (the wire format
-// internal/service's /sweep endpoint uses); the default is the indented
-// format of SaveCampaign. Must be called before the first write.
+// internal/service's /sweep endpoint uses); the default is indented
+// JSON, the record file format. Must be called before the first write.
 func (cw *CampaignWriter) Compact() *CampaignWriter {
 	cw.compact = true
 	return cw

@@ -71,11 +71,11 @@ func streamRecord(t *testing.T, rec *CampaignRecord, compact bool) []byte {
 }
 
 // TestCampaignWriterMatchesSaveCampaign: indented streamed output is
-// byte-identical to the materialized SaveCampaign path.
+// byte-identical to the materialized saveCampaign oracle.
 func TestCampaignWriterMatchesSaveCampaign(t *testing.T) {
 	for i, rec := range identityCases() {
 		var want bytes.Buffer
-		if err := SaveCampaign(&want, rec); err != nil {
+		if err := saveCampaign(&want, rec); err != nil {
 			t.Fatal(err)
 		}
 		got := streamRecord(t, rec, false)

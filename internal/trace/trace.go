@@ -3,7 +3,7 @@
 // steady-state power estimation. It reproduces the processing step real
 // meter tooling (HCLWattsUp) applies to raw WattsUp samples before a
 // single "dynamic energy" number is reported, and it is what turns the
-// block scheduler's traces (gpusim.TracedResult) into the quantities the
+// block scheduler's traces (gpusim.RunMatMulTraced) into the quantities the
 // paper's figures use.
 package trace
 
