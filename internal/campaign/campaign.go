@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
@@ -252,12 +253,20 @@ func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c d
 	}, nil
 }
 
+// meterPool recycles meters across points: a reset meter keeps its
+// generator and sample scratch, so a point reseeds instead of allocating
+// a fresh generator.
+var meterPool = sync.Pool{New: func() any { return new(meter.Meter) }}
+
 // meterLoop samples one model run's power profile with a fresh meter,
 // seeded from (seed, config), until the spec's statistical criterion
-// converges. The meter is built per call, so concurrent points share no
-// mutable state.
+// converges. The meter comes from meterPool, reset to exactly the state
+// meter.NewMeter would build, and is held by this call alone, so
+// concurrent points share no mutable state.
 func meterLoop(dev device.Device, out *device.Outcome, c device.Config, spec Spec, seed int64) (*stats.Measurement, error) {
-	m := meter.NewMeter(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
+	m := meterPool.Get().(*meter.Meter)
+	defer meterPool.Put(m)
+	m.Reset(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
 	m.NoiseFrac = spec.NoiseFrac
 	m.SpikeProb = spec.SpikeProb
 	// Short kernels cannot be resolved at the WattsUp's 1 Hz: the real

@@ -41,7 +41,7 @@ func (d *Device) RunMatMulAtClock(w MatMulWorkload, c MatMulConfig, clockMHz flo
 	spec.ComputePowerW *= v
 	spec.SMemPowerW *= v
 	spec.BasePowerW *= 0.4 + 0.6*rel
-	scaled := &Device{Spec: &spec, cal: d.cal, fetchDisabled: d.fetchDisabled}
+	scaled := &Device{Spec: &spec, cal: d.cal, fetchDisabled: d.fetchDisabled, jitter: d.jitter}
 	return scaled.RunMatMul(w, c)
 }
 

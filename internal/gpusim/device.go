@@ -107,6 +107,9 @@ type Device struct {
 	cal  calibration
 	// fetchDisabled is the Fig 6 ablation switch (see ablation.go).
 	fetchDisabled bool
+	// jitter is the block scheduler's per-slot drain-rate table, one
+	// entry per block slot the device can hold (see schedule.go).
+	jitter []float64
 }
 
 // NewDevice builds a simulated device for a catalog spec. Specs whose name
@@ -132,6 +135,7 @@ func NewDevice(spec *hw.GPUSpec) (*Device, error) {
 	default:
 		d.cal = genericCalibration()
 	}
+	d.jitter = jitterFor(spec.SMs * max(1, d.cal.maxBlocksPerSM))
 	return d, nil
 }
 
@@ -222,6 +226,7 @@ func NewDeviceWithProfile(spec *hw.GPUSpec, profile MeasuredProfile) (*Device, e
 		anchorBS: profile.AnchorBS, anchorEnergyJ: profile.AnchorEnergyJ,
 		anchorExp: profile.AnchorExp,
 	})
+	d.jitter = jitterFor(spec.SMs * max(1, d.cal.maxBlocksPerSM))
 	return d, nil
 }
 

@@ -192,7 +192,7 @@ func (r *Result) Run(idlePowerW float64) meter.Run {
 	if r.Trace == nil {
 		return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
 	}
-	seg := &meter.SegmentRun{}
+	seg := meter.NewSegmentRun(len(r.Trace))
 	for i := 0; i < len(r.Trace); i++ {
 		end := r.TraceSeconds
 		if i+1 < len(r.Trace) {

@@ -3,7 +3,9 @@ package gpusim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"sync"
+
+	"energyprop/internal/hw"
 )
 
 // Block scheduler: where matmul.go's analytic model gives each
@@ -19,6 +21,13 @@ import (
 // greedy earliest-slot-first schedule has a closed form: slot i starts at
 // its fill-stagger offset and processes its share back to back, so
 // occupancy is +1 at each slot's start and −1 at its drain time.
+//
+// The slot start times fillWindow·i/active ascend with i, so only the
+// drain times need ordering: a counting pass into equal-width buckets
+// followed by an insertion sort that fixes order within a bucket (see
+// bucketSort). The trace then merges the starts into the ordered drains.
+// The greedy step merge depends only on the multiset of edge times, so
+// any correct ordering yields the same trace bit for bit.
 
 // TracePoint is one step of a piecewise-constant power trace.
 type TracePoint struct {
@@ -28,6 +37,147 @@ type TracePoint struct {
 	ActiveSlots int
 	// PowerW is the dynamic power during the step.
 	PowerW float64
+}
+
+// slotJitter is the per-slot drain-rate factor table for n slots. Slots
+// do not drain in lockstep on real hardware: memory and scheduler
+// contention make per-slot progress differ by a couple of percent, which
+// is what gives the power tail its width.
+func slotJitter(n int) []float64 {
+	j := make([]float64, n)
+	for i := range j {
+		j[i] = 1 + 0.02*math.Sin(float64(i)*2.399)
+	}
+	return j
+}
+
+// catalogJitter covers every block slot of the catalog GPUs. An entry
+// depends only on its slot index, so devices share this one table
+// rather than building their own each time one is opened.
+var catalogJitter = slotJitter(max(
+	hw.K40c().SMs*k40cCalibration().maxBlocksPerSM,
+	hw.P100().SMs*p100Calibration().maxBlocksPerSM))
+
+// jitterFor returns the jitter table for a device with the given number
+// of block slots: a prefix of the shared catalog table when it is long
+// enough, a table of the device's own otherwise.
+func jitterFor(slots int) []float64 {
+	if slots <= len(catalogJitter) {
+		return catalogJitter[:slots:slots]
+	}
+	return slotJitter(slots)
+}
+
+// drainScratch is one traced run's pooled scratch: the slot drain times
+// in slot order, the same times ascending, and the bucket offsets that
+// order them.
+type drainScratch struct {
+	drains, sorted []float64
+	counts         []int32
+}
+
+// drainPool recycles drainScratch across traced runs so a warm run
+// allocates only its result, whatever the device's slot count.
+var drainPool = sync.Pool{New: func() any { return new(drainScratch) }}
+
+// size readies the scratch for n slots. Contents are arbitrary; every
+// element is overwritten before it is read.
+func (sc *drainScratch) size(n int) {
+	if cap(sc.drains) < n {
+		sc.drains, sc.sorted, sc.counts = make([]float64, n), make([]float64, n), make([]int32, n+1)
+	}
+	sc.drains, sc.sorted, sc.counts = sc.drains[:n], sc.sorted[:n], sc.counts[:n+1]
+}
+
+// bucketSort writes src in ascending order into dst (len(dst) ==
+// len(src), len(counts) == len(src)+1). A counting pass distributes the
+// values into len(src) equal-width buckets over [min, max]; the bucket
+// index is monotone in the value, so an insertion sort over dst then
+// only reorders within a bucket. Any spread of values sorts correctly —
+// the buckets only bound the insertion sort's work.
+func bucketSort(dst, src []float64, counts []int32) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	lo, hi := src[0], src[0]
+	for _, v := range src[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	scale := 0.0
+	if hi > lo {
+		scale = float64(n) / (hi - lo)
+	}
+	bucket := func(v float64) int {
+		b := int((v - lo) * scale)
+		if b < 0 {
+			return 0
+		}
+		if b >= n {
+			return n - 1
+		}
+		return b
+	}
+	clear(counts)
+	for _, v := range src {
+		counts[bucket(v)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		counts[b] += counts[b-1]
+	}
+	for _, v := range src {
+		b := bucket(v)
+		dst[counts[b]] = v
+		counts[b]++
+	}
+	for i := 1; i < n; i++ {
+		v, j := dst[i], i
+		for ; j > 0 && dst[j-1] > v; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = v
+	}
+}
+
+// slotStart is slot i's fill-stagger start time; it ascends with i.
+func slotStart(fillWindow float64, i, active int) float64 {
+	return fillWindow * float64(i) / float64(active)
+}
+
+// mergeSteps walks the ascending slot starts and the ascending drain
+// times together, grouping edges within minStep of a step's first edge
+// into that step: a step starting at t absorbs every remaining edge at
+// or before t+minStep. It writes each step's start and occupancy into
+// out, or only counts the steps when out is nil.
+func mergeSteps(fillWindow float64, drains []float64, minStep float64, out []TracePoint) int {
+	active := len(drains)
+	n, occ := 0, 0
+	for i, k := 0, 0; i < active || k < active; n++ {
+		t := math.Inf(1)
+		if i < active {
+			t = slotStart(fillWindow, i, active)
+		}
+		if k < active && drains[k] < t {
+			t = drains[k]
+		}
+		for i < active && slotStart(fillWindow, i, active) <= t+minStep {
+			occ++
+			i++
+		}
+		for k < active && drains[k] <= t+minStep {
+			occ--
+			k++
+		}
+		if out != nil {
+			out[n] = TracePoint{Seconds: t, ActiveSlots: occ}
+		}
+	}
+	return n
 }
 
 // RunMatMulTraced executes the workload through the block scheduler: the
@@ -60,26 +210,20 @@ func (d *Device) RunMatMulTraced(w MatMulWorkload, c MatMulConfig) (*Result, err
 	extra := totalBlocks % active
 	fillWindow := math.Min(float64(active)*2e-6, 0.05*kernelSeconds)
 
-	type edge struct {
-		t     float64
-		delta int
-	}
-	edges := make([]edge, 0, 2*active)
-	for i := 0; i < active; i++ {
-		start := fillWindow * float64(i) / float64(active)
+	sc := drainPool.Get().(*drainScratch)
+	defer drainPool.Put(sc)
+	sc.size(active)
+	for i, jitter := range d.jitter[:active] {
 		count := base
 		if i < extra {
 			count++
 		}
-		// Slots do not drain in lockstep on real hardware: memory and
-		// scheduler contention make per-slot progress differ by a couple
-		// of percent, which is what gives the power tail its width.
-		jitter := 1 + 0.02*math.Sin(float64(i)*2.399)
-		edges = append(edges, edge{start, +1})
-		edges = append(edges, edge{start + float64(count)*blockDur*jitter, -1})
+		sc.drains[i] = slotStart(fillWindow, i, active) + float64(count)*blockDur*jitter
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	makespan := edges[len(edges)-1].t
+	bucketSort(sc.sorted, sc.drains, sc.counts)
+	// Every slot drains after it starts, so the last drain is the
+	// makespan.
+	makespan := sc.sorted[active-1]
 
 	// Convert occupancy edges into a compact power trace (merge steps
 	// closer than makespan/512 to bound the trace size).
@@ -90,27 +234,16 @@ func (d *Device) RunMatMulTraced(w MatMulWorkload, c MatMulConfig) (*Result, err
 		coreW = 0
 	}
 	minStep := makespan / 512
-	var trace []TracePoint
-	occ := 0
-	for i := 0; i < len(edges); {
-		t := edges[i].t
-		for i < len(edges) && edges[i].t <= t+minStep {
-			occ += edges[i].delta
-			i++
-		}
-		frac := float64(occ) / float64(slots)
+	trace := make([]TracePoint, mergeSteps(fillWindow, sc.sorted, minStep, nil))
+	mergeSteps(fillWindow, sc.sorted, minStep, trace)
+	// Price and integrate the trace.
+	energy := 0.0
+	for i := range trace {
+		frac := float64(trace[i].ActiveSlots) / float64(slots)
 		if frac > 1 {
 			frac = 1
 		}
-		trace = append(trace, TracePoint{
-			Seconds:     t,
-			ActiveSlots: occ,
-			PowerW:      d.Spec.BasePowerW + fetchW + coreW*frac,
-		})
-	}
-	// Integrate the trace.
-	energy := 0.0
-	for i := 0; i < len(trace); i++ {
+		trace[i].PowerW = d.Spec.BasePowerW + fetchW + coreW*frac
 		end := makespan
 		if i+1 < len(trace) {
 			end = trace[i+1].Seconds

@@ -245,12 +245,19 @@ func (st *seedTaint) markSinkIdents(pkg *Package, expr ast.Expr, changed *bool) 
 }
 
 // randSeedSink returns the rand constructor name when the call is
-// rand.NewSource or rand.NewPCG (either math/rand generation).
+// rand.NewSource or rand.NewPCG (either math/rand generation), or
+// "Seed" for a math/rand Seed call: reseeding a generator in place
+// (e.g. (*rand.Rand).Seed on a pooled meter) fixes its sequence exactly
+// as constructing it does.
 func randSeedSink(pkg *Package, call *ast.CallExpr) (string, bool) {
 	for _, path := range []string{"math/rand", "math/rand/v2"} {
 		if name, ok := pkgCall(pkg.Info, call, path); ok && seedSources[name] {
 			return name, true
 		}
+	}
+	if fn := staticCallee(pkg, call); fn != nil && fn.Name() == "Seed" &&
+		fn.Pkg() != nil && fn.Pkg().Path() == "math/rand" {
+		return "Seed", true
 	}
 	return "", false
 }

@@ -239,6 +239,61 @@ func good(idle float64, seed int64) *meter.Meter {
 		})
 }
 
+func TestSeedFlowTreatsReseedAsSink(t *testing.T) {
+	// Reseeding a generator in place fixes its sequence exactly as
+	// rand.NewSource does, so a Seed call is held to the same rule.
+	src := `package meter
+
+import "math/rand"
+
+func bad(r *rand.Rand) { r.Seed(42) }
+
+func good(r *rand.Rand, seed int64) { r.Seed(seed) }
+`
+	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/meter", src, []want{
+		{line: 5, rule: "seedflow", substr: "seed for rand.Seed is 42"},
+	})
+}
+
+func TestSeedFlowChecksMeterResetConduit(t *testing.T) {
+	// campaign.meterLoop reseeds a pooled meter with Meter.Reset instead
+	// of building one with NewMeter. Reset's seed parameter reaches the
+	// generator inside the meter, so the engine discovers it as a conduit
+	// too: a raw campaign seed or an index handed to Reset in campaign
+	// code is a finding, exactly as it would be for NewMeter.
+	src := `package campaign
+
+import (
+	"energyprop/internal/device"
+	"energyprop/internal/meter"
+)
+
+type cfg struct{}
+
+func (cfg) Key() string    { return "k" }
+func (cfg) String() string { return "k" }
+
+func badRaw(m *meter.Meter, idle float64, seed int64) {
+	m.Reset(idle, seed)
+}
+
+func badIndex(ms []*meter.Meter, idle float64) {
+	for i, m := range ms {
+		m.Reset(idle, int64(i))
+	}
+}
+
+func good(m *meter.Meter, idle float64, seed int64) {
+	m.Reset(idle, device.ConfigSeed(seed, cfg{}))
+}
+`
+	checkFixturePkgs(t, []Rule{SeedFlow{}}, "energyprop/internal/campaign", src,
+		[]string{"energyprop/internal/meter"}, []want{
+			{line: 14, rule: "seedflow", substr: "seed for meter.Reset is seed, which bypasses"},
+			{line: 19, rule: "seedflow", substr: `seed for meter.Reset derives from loop variable "i"`},
+		})
+}
+
 func TestSeedFlowIgnoresOutOfScopePackages(t *testing.T) {
 	// stats test helpers and examples may seed however they like.
 	src := `package stats

@@ -51,6 +51,13 @@ type segment struct {
 	watts   float64
 }
 
+// NewSegmentRun returns an empty SegmentRun with room for n segments, so
+// a caller that knows its phase count builds the profile in one
+// allocation.
+func NewSegmentRun(n int) *SegmentRun {
+	return &SegmentRun{segs: make([]segment, 0, n)}
+}
+
 // AddSegment appends a phase of the given length and power level and
 // returns the run for chaining. Non-positive durations are ignored.
 func (s *SegmentRun) AddSegment(seconds, watts float64) *SegmentRun {
@@ -159,11 +166,31 @@ type Meter struct {
 // NewMeter returns a meter with the given idle power, WattsUp-like 1 s
 // sampling, 1% sample noise, and a deterministic seed.
 func NewMeter(idlePowerW float64, seed int64) *Meter {
-	return &Meter{
+	m := new(Meter)
+	m.Reset(idlePowerW, seed)
+	return m
+}
+
+// Reset returns m to the state NewMeter(idlePowerW, seed) builds — every
+// field at its default, the generator reseeded — while keeping the
+// generator and the sample scratch for reuse. A reseeded generator draws
+// exactly the sequence a freshly constructed one would, so a reset
+// meter's reports are bit-identical to a new meter's. This is how a
+// pool of meters serves a campaign's points without allocating a
+// generator per point.
+func (m *Meter) Reset(idlePowerW float64, seed int64) {
+	*m = Meter{
 		IdlePowerW:     idlePowerW,
 		SampleInterval: 1.0,
 		NoiseFrac:      0.01,
-		rng:            rand.New(rand.NewSource(seed)),
+		rng:            m.rng,
+		scratchT:       m.scratchT,
+		scratchP:       m.scratchP,
+	}
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(seed))
+	} else {
+		m.rng.Seed(seed)
 	}
 }
 

@@ -45,28 +45,19 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 		return nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
 		next       atomic.Int64
-		mu         sync.Mutex // guards firstErr/firstIdx
-		firstErr   error
-		firstIdx   int
+		f          = failure{cancel: cancel}
 		wg         sync.WaitGroup
 		cmu        sync.Mutex // guards pending/nextIndex and serializes commit
 		pending    = make(map[int]T, workers)
 		nextIndex  int  // next index commit expects
 		commitDead bool // a commit errored; never call it again
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
 	// deliver hands one completed result to the committer: it buffers v,
 	// then drains the contiguous prefix. Whichever worker completes the
 	// blocking index does the draining, so no dedicated committer
@@ -88,7 +79,7 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 			nextIndex++
 			if err := commit(idx, w); err != nil {
 				commitDead = true
-				fail(idx, err)
+				f.record(idx, err)
 				return
 			}
 		}
@@ -102,13 +93,13 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
+				ictx, ok := f.claim(parent, ctx, i)
+				if !ok {
 					return
 				}
-				v, err := fn(ctx, i)
+				v, err := fn(ictx, i)
 				if err != nil {
-					fail(i, err)
+					f.record(i, err)
 					return
 				}
 				deliver(i, v)
@@ -116,14 +107,5 @@ func Each[T any](ctx context.Context, workers, n int, fn func(ctx context.Contex
 		}()
 	}
 	wg.Wait()
-	return firstErrOf(&mu, &firstErr)
-}
-
-// firstErrOf reads the selected error under its mutex (the workers have
-// exited, but the lock keeps the race detector satisfied and the read
-// ordered).
-func firstErrOf(mu *sync.Mutex, firstErr *error) error {
-	mu.Lock()
-	defer mu.Unlock()
-	return *firstErr
+	return f.first()
 }

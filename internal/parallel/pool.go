@@ -75,24 +75,15 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		return out, nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		next     atomic.Int64 // next item index to claim
-		mu       sync.Mutex   // guards firstErr/firstIdx
-		firstErr error
-		firstIdx int
-		wg       sync.WaitGroup
+		next atomic.Int64 // next item index to claim
+		f    = failure{cancel: cancel}
+		wg   sync.WaitGroup
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		cancel() // stop the other workers claiming new items
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -102,13 +93,13 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					fail(i, err)
+				ictx, ok := f.claim(parent, ctx, i)
+				if !ok {
 					return
 				}
-				r, err := fn(ctx, i)
+				r, err := fn(ictx, i)
 				if err != nil {
-					fail(i, err)
+					f.record(i, err)
 					return
 				}
 				out[i] = r
@@ -116,10 +107,60 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if err := f.first(); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// failure selects the lowest-index error of a concurrent run and cancels
+// the run's context on the first one.
+type failure struct {
+	mu     sync.Mutex
+	err    error
+	idx    int
+	cancel context.CancelFunc
+}
+
+// record notes item i's error and stops the other workers claiming new
+// items.
+func (f *failure) record(i int, err error) {
+	f.mu.Lock()
+	if f.err == nil || i < f.idx {
+		f.err, f.idx = err, i
+	}
+	f.mu.Unlock()
+	f.cancel()
+}
+
+// claim returns the context item i runs under, or false when the worker
+// should stop: the caller's context is done (recorded as item i's
+// error), or an item below i has already failed. A failure cancels the
+// run's context, but items below the failing index still run, on the
+// caller's context: a serial loop would have run them first, so they
+// may still own the reported error.
+func (f *failure) claim(parent, ctx context.Context, i int) (context.Context, bool) {
+	if err := parent.Err(); err != nil {
+		f.record(i, err)
+		return nil, false
+	}
+	if ctx.Err() == nil {
+		return ctx, true
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil && i > f.idx {
+		return nil, false
+	}
+	return parent, true
+}
+
+// first returns the selected error (the lock orders the read after the
+// workers' writes).
+func (f *failure) first() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // Progress serializes progress callbacks from concurrent workers: it
@@ -137,14 +178,15 @@ func NewProgress(total int, fn func(done, total int)) *Progress {
 	return &Progress{total: total, fn: fn}
 }
 
-// Tick records one completed item and reports it to the callback.
+// Tick records one completed item and reports it to the callback. The
+// callback runs under the lock, so calls never overlap and arrive with
+// strictly increasing counts.
 func (p *Progress) Tick() {
 	if p == nil || p.fn == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.done++
-	d := p.done
-	p.mu.Unlock()
-	p.fn(d, p.total)
+	p.fn(p.done, p.total)
 }
