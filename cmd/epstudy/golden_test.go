@@ -40,6 +40,14 @@ func TestDeviceCampaignGolden(t *testing.T) {
 			[]string{"-mode", "policy", "-device", "haswell", "-app", "stencil",
 				"-n", "8192", "-products", "20", "-slack", "2", "-floor", "0.5",
 				"-policies", "race,paced"}},
+		// The policy study under a fault schedule on a wide pool: the
+		// injector wraps the policy device, so every policy point owns
+		// its attempt schedule and the table does not depend on which
+		// worker reached a race or paced sibling first.
+		{"policy_haswell_stencil_faults_w64.golden.txt",
+			[]string{"-mode", "policy", "-device", "haswell", "-app", "stencil",
+				"-n", "8192", "-products", "20", "-faults", "seed=3,transient=0.4",
+				"-retries", "1", "-workers", "64"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			out, stderr, code := runCLI(t, tc.args...)

@@ -50,7 +50,6 @@ import (
 	"energyprop/internal/cli"
 	"energyprop/internal/device"
 	"energyprop/internal/experiment"
-	"energyprop/internal/fault"
 	"energyprop/internal/fleet"
 	"energyprop/internal/policy"
 )
@@ -80,30 +79,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	app := fs.String("app", "dgemm", "application family for -device campaigns: dgemm, fft, spmv, stencil, or compound")
 	n := fs.Int("n", 4096, "matrix/signal dimension N for -device campaigns")
 	products := fs.Int("products", 2, "total problem instances for -device campaigns")
-	reps := fs.Int("reps", 1, "repeat the -device campaign; repeats hit the in-process measurement cache")
-	faultsFlag := fs.String("faults", "", "inject deterministic faults into the -device campaign, e.g. seed=3,transient=0.2,drop=0.1")
-	retries := fs.Int("retries", 0, "extra attempts per point after a failed measurement in the -device campaign")
-	executor := fs.String("executor", "local", `fan-out strategy for the -device campaign: "local" or "fleet"`)
-	nodesFlag := fs.Int("nodes", 0, "simulated fleet size for -executor fleet (0 = 3)")
-	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
-	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
+	cf := cli.NewCampaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *reps < 1 {
-		cli.Errorf(stderr, "epstudy: -reps must be >= 1 (got %d)\n", *reps)
-		return 2
-	}
-	if *retries < 0 {
-		cli.Errorf(stderr, "epstudy: -retries must be >= 0 (got %d)\n", *retries)
-		return 2
-	}
-	plan, err := fault.ParsePlan(*faultsFlag)
-	if err != nil {
-		cli.Errorf(stderr, "epstudy: -faults: %v\n", err)
-		return 2
-	}
-	fc, err := resolveFleetFlags(*executor, *nodesFlag, *shardSize, *nodeFaults)
+	plan, err := cf.Plan(*workers)
 	if err != nil {
 		cli.Errorf(stderr, "epstudy: %v\n", err)
 		return 2
@@ -138,20 +118,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *devName != "" {
-		var tables []*experiment.Table
+		plan.Device = *devName
 		if *mode == "policy" {
 			strategies, perr := parsePolicies(*policies)
 			if perr != nil {
 				cli.Errorf(stderr, "epstudy: %v\n", perr)
 				return 2
 			}
-			popts := policy.Options{Strategies: strategies, Slack: *slack, FloorFrac: *floor}
-			tables, err = runPolicyStudy(*devName, *app, *n, *products, *reps, *retries, popts, plan, fc, opt)
-		} else {
-			var t *experiment.Table
-			t, err = runDeviceCampaign(*devName, *app, *n, *products, *reps, *retries, plan, fc, opt)
-			tables = []*experiment.Table{t}
+			popts := policy.Options{Strategies: strategies, Slack: *slack, FloorFrac: *floor}.Normalized()
+			plan.Policy = &popts
 		}
+		w := device.Workload{App: *app, N: *n, Products: *products}.Normalized()
+		tables, err := runDeviceStudy(plan, w, cf, opt)
 		if err != nil {
 			cli.Errorf(stderr, "epstudy: %v\n", err)
 			return 1
@@ -246,67 +224,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return done()
 }
 
-// runDeviceCampaign measures every configuration of a registered device
+// runDeviceStudy measures every configuration of a registered device
 // through the same streaming campaign engine the built-in experiments
-// and the measurement service use, and tabulates the results. reps > 1
+// and the measurement service use, and tabulates the results. -reps > 1
 // reruns the campaign against the attached point cache: warm reruns are
 // byte-identical (the points are pure functions of device, workload,
 // config, and seed) and skip every device run and meter loop.
 //
-// A non-empty fault plan wraps the device in the deterministic injector
-// and turns on graceful degradation: surviving points gain an attempts
-// column, exhausted points become table notes, and the measured values
-// of every survivor stay byte-identical to the fault-free campaign.
-func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fault.Plan, fc fleetConfig, opt experiment.Options) (*experiment.Table, error) {
-	dev, err := device.Open(name)
+// A fault plan or retry budget turns on graceful degradation: surviving
+// points gain an attempts column, exhausted points become table notes,
+// and the measured values of every survivor stay byte-identical to the
+// fault-free campaign.
+//
+// Under a policy this is the race-to-idle vs DVFS-paced energy study:
+// the campaign runs over the cross product of the enabled strategies
+// with the device's configuration space, and the per-point table gains
+// the per-configuration race-vs-paced comparison and the Pareto front
+// over policy × configuration. Cache, retries, fault injection, and the
+// fleet executor compose exactly as in the plain campaign, because a
+// policy point is just another configuration.
+func runDeviceStudy(plan fleet.Plan, w device.Workload, cf *cli.CampaignFlags, opt experiment.Options) ([]*experiment.Table, error) {
+	st, err := plan.Open()
 	if err != nil {
 		return nil, err
 	}
-	var injector *fault.Device
-	if plan.Enabled() && !fc.enabled {
-		// In fleet mode the injector moves into the nodes: each one wraps
-		// its own device instance with a per-node derived schedule.
-		if injector, err = fault.Wrap(dev, plan); err != nil {
-			return nil, err
-		}
-		dev = injector
-	}
-	chaos := plan.Enabled() || retries > 0
-	w := device.Workload{App: app, N: n, Products: products}.Normalized()
-	configs, err := dev.Configs(w)
+	configs, err := st.Ref.Configs(w)
 	if err != nil {
 		return nil, err
 	}
+	chaos := plan.Faults.Enabled() || cf.Retries > 0
 	spec := campaign.DefaultSpec(opt.Seed)
 	spec.Workers = opt.Workers
 	spec.Cache = campaign.NewPointCache(0)
+	spec.Executor = st.Executor
 	if chaos {
-		spec.Retry = fault.RetryPolicy{MaxAttempts: retries + 1}
+		spec.Retry = cf.Retry()
 		spec.ContinueOnError = true
-	}
-	var coord *fleet.Coordinator
-	if fc.enabled {
-		coord, err = fleet.ForDevice(name, plan, fleet.Options{
-			Nodes:       fc.nodes,
-			ShardSize:   fc.shardSize,
-			Parallelism: opt.Workers,
-			Chaos:       fc.chaos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec.Executor = fleet.Executor{Coord: coord}
 	}
 	// Warm reps stream into Discard: they exist to exercise the point
 	// cache, not to tabulate twice.
-	for r := 0; r < reps-1; r++ {
-		if err := campaign.Stream(context.Background(), dev, w, configs, spec, campaign.Discard); err != nil {
+	for r := 0; r < cf.Reps-1; r++ {
+		if err := campaign.Stream(context.Background(), st.Dev, w, configs, spec, campaign.Discard); err != nil {
 			return nil, err
 		}
 	}
+	ref := st.Ref.Spec()
+	pol := plan.Policy
 	t := &experiment.Table{
-		Title:   fmt.Sprintf("Measured campaign on %s (%s), %s", dev.Spec().CatalogName, dev.Kind(), w),
+		Title:   fmt.Sprintf("Measured campaign on %s (%s), %s", ref.CatalogName, st.Ref.Kind(), w),
 		Columns: []string{"config", "key", "seconds", "measured_j", "ci_halfwidth_j", "runs"},
+	}
+	if pol != nil {
+		t.Title = fmt.Sprintf("Energy-policy campaign on %s (%s), %s, slack %.3g, floor %.3g",
+			ref.CatalogName, st.Ref.Kind(), w, pol.Slack, pol.FloorFrac)
+		t.Columns = append([]string{"policy"}, t.Columns...)
 	}
 	// The attempts column only appears in chaos mode so fault-free table
 	// output stays byte-identical to earlier versions.
@@ -316,87 +287,74 @@ func runDeviceCampaign(name, app string, n, products, reps, retries int, plan fa
 	// The final rep streams straight into the table: rows land in
 	// configuration order as points commit, failures are buffered because
 	// notes trail the rows.
-	survivors, totalRuns := 0, 0
+	var reports []campaign.PointReport
 	var failed []campaign.PointFailure
+	totalRuns := 0
 	sink := campaign.FuncSink{AcceptFunc: func(o campaign.PointOutcome) error {
 		if o.Failure != nil {
 			failed = append(failed, *o.Failure)
 			return nil
 		}
 		p := o.Report
-		survivors++
+		row := []string{p.Config.String()}
+		if pol != nil {
+			pt, ok := p.Config.(policy.Point)
+			if !ok {
+				return fmt.Errorf("policy campaign produced non-policy config %v", p.Config)
+			}
+			row = []string{pt.Strategy, pt.Inner.String()}
+		}
+		reports = append(reports, p)
 		totalRuns += p.Runs
-		row := []string{p.Config.String(), p.Config.Key(),
+		row = append(row, p.Config.Key(),
 			fmt.Sprintf("%.4f", p.TrueSeconds),
 			fmt.Sprintf("%.1f", p.MeasuredEnergyJ),
 			fmt.Sprintf("%.2f", p.HalfWidthJ),
-			fmt.Sprintf("%d", p.Runs)}
+			fmt.Sprintf("%d", p.Runs))
 		if chaos {
 			row = append(row, fmt.Sprintf("%d", p.Attempts))
 		}
 		t.AddRow(row...)
 		return nil
 	}}
-	if err := campaign.Stream(context.Background(), dev, w, configs, spec, sink); err != nil {
+	if err := campaign.Stream(context.Background(), st.Dev, w, configs, spec, sink); err != nil {
 		return nil, err
 	}
-	if chaos && survivors == 0 {
+	if chaos && len(reports) == 0 {
 		return nil, fmt.Errorf("all %d points failed within the retry budget", len(failed))
 	}
 	t.AddNote("campaign cost: %d total runs across %d configurations (seed %d)",
-		totalRuns, survivors, opt.Seed)
-	if reps > 1 {
+		totalRuns, len(reports), opt.Seed)
+	if pol != nil {
+		t.AddNote("window: deadline = %.3g x busy, deep-idle floor = %.3g x active idle (%.1f W)",
+			pol.Slack, pol.FloorFrac, ref.IdlePowerW)
+	}
+	if cf.Reps > 1 {
 		s := spec.Cache.Stats()
 		t.AddNote("cache over %d reps: hits=%d misses=%d dedups=%d evictions=%d",
-			reps, s.Hits, s.Misses, s.Dedups, s.Evictions)
+			cf.Reps, s.Hits, s.Misses, s.Dedups, s.Evictions)
 	}
 	for _, f := range failed {
 		t.AddNote("failed: %s attempts=%d err=%v", f.Config.Key(), f.Attempts, f.Err)
 	}
-	if injector != nil {
-		s := injector.Stats()
+	if s, n := st.Injectors.Stats(); n > 0 && st.Coord == nil {
 		t.AddNote("faults: runs=%d transients=%d drops=%d outliers=%d delays=%d",
 			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays)
 	}
-	if coord != nil {
+	if coord := st.Coord; coord != nil {
 		s := coord.Stats()
 		t.AddNote("fleet: nodes=%d shards=%d dispatches=%d preemptions=%d cordons=%d remediations=%d",
 			coord.Options().Nodes, s.Shards, s.Dispatches, s.Preemptions, s.Cordons, s.Remediations)
 		t.AddNote("fleet events: %d entries, digest %s", len(coord.Events()), fleet.DigestEvents(coord.Events()))
 	}
-	return t, nil
-}
-
-// fleetConfig is the resolved -executor flag group.
-type fleetConfig struct {
-	enabled   bool
-	nodes     int
-	shardSize int
-	chaos     fleet.Chaos
-}
-
-// resolveFleetFlags validates the -executor flag group. The fleet
-// sizing and chaos flags are rejected under -executor local so a typo'd
-// chaos run cannot silently fall back to a calm local pool.
-func resolveFleetFlags(executor string, nodes, shardSize int, nodeFaults string) (fleetConfig, error) {
-	switch executor {
-	case "local", "":
-		if nodes != 0 || shardSize != 0 || nodeFaults != "" {
-			return fleetConfig{}, fmt.Errorf(`-nodes, -shardsize, and -nodefaults require -executor fleet`)
-		}
-		return fleetConfig{}, nil
-	case "fleet":
-	default:
-		return fleetConfig{}, fmt.Errorf(`-executor %q: want "local" or "fleet"`, executor)
+	tables := []*experiment.Table{t}
+	if pol == nil {
+		return tables, nil
 	}
-	chaos, err := fleet.ParseChaos(nodeFaults)
-	if err != nil {
-		return fleetConfig{}, fmt.Errorf("-nodefaults: %w", err)
+	if cmp := comparePolicies(reports, w); cmp != nil {
+		tables = append(tables, cmp)
 	}
-	if nodes == 0 {
-		nodes = 3
-	}
-	return fleetConfig{enabled: true, nodes: nodes, shardSize: shardSize, chaos: chaos}, nil
+	return append(tables, policyFront(reports, w)), nil
 }
 
 // writeSVGs renders the figure images into dir.

@@ -193,7 +193,7 @@ func TestBadReps(t *testing.T) {
 	if code != 2 {
 		t.Errorf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "-reps") {
-		t.Errorf("stderr %q should mention -reps", errOut)
+	if want := "epstudy: -reps must be >= 1 (got -1)\n"; errOut != want {
+		t.Errorf("stderr %q, want %q", errOut, want)
 	}
 }

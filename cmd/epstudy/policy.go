@@ -1,15 +1,12 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/experiment"
-	"energyprop/internal/fault"
-	"energyprop/internal/fleet"
 	"energyprop/internal/pareto"
 	"energyprop/internal/policy"
 )
@@ -35,154 +32,6 @@ func parsePolicies(s string) ([]string, error) {
 		return nil, fmt.Errorf("-policies: empty strategy list")
 	}
 	return out, nil
-}
-
-// policyFactory opens policy-wrapped devices for fleet nodes: registry
-// device, optional per-node derived fault injector, then the policy
-// wrapper — the same layering the local path uses, so fleet and local
-// policy campaigns are byte-identical.
-func policyFactory(name string, plan fault.Plan, popts policy.Options) fleet.DeviceFactory {
-	return func(node string) (device.Device, error) {
-		dev, err := device.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		if plan.Enabled() {
-			if dev, err = fault.Wrap(dev, fleet.NodePlan(plan, node)); err != nil {
-				return nil, err
-			}
-		}
-		return policy.Wrap(dev, popts)
-	}
-}
-
-// runPolicyStudy runs the race-to-idle vs DVFS-paced energy study on a
-// registered device: one measured campaign over the cross product of the
-// enabled strategies with the device's configuration space, rendered as
-// the per-point table, the per-configuration race-vs-paced comparison,
-// and the Pareto front over policy × configuration. All the campaign
-// machinery (cache, retries, fault injection, fleet executor) composes
-// exactly as in the plain -device campaign, because a policy point is
-// just another configuration.
-func runPolicyStudy(name, app string, n, products, reps, retries int, popts policy.Options, plan fault.Plan, fc fleetConfig, opt experiment.Options) ([]*experiment.Table, error) {
-	inner, err := device.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	base := inner
-	var injector *fault.Device
-	if plan.Enabled() && !fc.enabled {
-		if injector, err = fault.Wrap(base, plan); err != nil {
-			return nil, err
-		}
-		base = injector
-	}
-	dev, err := policy.Wrap(base, popts)
-	if err != nil {
-		return nil, err
-	}
-	popts = dev.Options()
-	chaos := plan.Enabled() || retries > 0
-	w := device.Workload{App: app, N: n, Products: products}.Normalized()
-	configs, err := dev.Configs(w)
-	if err != nil {
-		return nil, err
-	}
-	spec := campaign.DefaultSpec(opt.Seed)
-	spec.Workers = opt.Workers
-	spec.Cache = campaign.NewPointCache(0)
-	if chaos {
-		spec.Retry = fault.RetryPolicy{MaxAttempts: retries + 1}
-		spec.ContinueOnError = true
-	}
-	var coord *fleet.Coordinator
-	if fc.enabled {
-		coord, err = fleet.New(fleet.Options{
-			Nodes:       fc.nodes,
-			ShardSize:   fc.shardSize,
-			Parallelism: opt.Workers,
-			Chaos:       fc.chaos,
-		}, policyFactory(name, plan, popts))
-		if err != nil {
-			return nil, err
-		}
-		spec.Executor = fleet.Executor{Coord: coord}
-	}
-	for r := 0; r < reps-1; r++ {
-		if err := campaign.Stream(context.Background(), dev, w, configs, spec, campaign.Discard); err != nil {
-			return nil, err
-		}
-	}
-
-	points := &experiment.Table{
-		Title: fmt.Sprintf("Energy-policy campaign on %s (%s), %s, slack %.3g, floor %.3g",
-			dev.Spec().CatalogName, dev.Kind(), w, popts.Slack, popts.FloorFrac),
-		Columns: []string{"policy", "config", "key", "seconds", "measured_j", "ci_halfwidth_j", "runs"},
-	}
-	if chaos {
-		points.Columns = append(points.Columns, "attempts")
-	}
-	var reports []campaign.PointReport
-	var failed []campaign.PointFailure
-	totalRuns := 0
-	sink := campaign.FuncSink{AcceptFunc: func(o campaign.PointOutcome) error {
-		if o.Failure != nil {
-			failed = append(failed, *o.Failure)
-			return nil
-		}
-		p := o.Report
-		pt, ok := p.Config.(policy.Point)
-		if !ok {
-			return fmt.Errorf("policy campaign produced non-policy config %v", p.Config)
-		}
-		reports = append(reports, p)
-		totalRuns += p.Runs
-		row := []string{pt.Strategy, pt.Inner.String(), p.Config.Key(),
-			fmt.Sprintf("%.4f", p.TrueSeconds),
-			fmt.Sprintf("%.1f", p.MeasuredEnergyJ),
-			fmt.Sprintf("%.2f", p.HalfWidthJ),
-			fmt.Sprintf("%d", p.Runs)}
-		if chaos {
-			row = append(row, fmt.Sprintf("%d", p.Attempts))
-		}
-		points.AddRow(row...)
-		return nil
-	}}
-	if err := campaign.Stream(context.Background(), dev, w, configs, spec, sink); err != nil {
-		return nil, err
-	}
-	if chaos && len(reports) == 0 {
-		return nil, fmt.Errorf("all %d points failed within the retry budget", len(failed))
-	}
-	points.AddNote("campaign cost: %d total runs across %d configurations (seed %d)",
-		totalRuns, len(reports), opt.Seed)
-	points.AddNote("window: deadline = %.3g x busy, deep-idle floor = %.3g x active idle (%.1f W)",
-		popts.Slack, popts.FloorFrac, dev.Spec().IdlePowerW)
-	if reps > 1 {
-		s := spec.Cache.Stats()
-		points.AddNote("cache over %d reps: hits=%d misses=%d dedups=%d evictions=%d",
-			reps, s.Hits, s.Misses, s.Dedups, s.Evictions)
-	}
-	for _, f := range failed {
-		points.AddNote("failed: %s attempts=%d err=%v", f.Config.Key(), f.Attempts, f.Err)
-	}
-	if injector != nil {
-		s := injector.Stats()
-		points.AddNote("faults: runs=%d transients=%d drops=%d outliers=%d delays=%d",
-			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays)
-	}
-	if coord != nil {
-		s := coord.Stats()
-		points.AddNote("fleet: nodes=%d shards=%d dispatches=%d preemptions=%d cordons=%d remediations=%d",
-			coord.Options().Nodes, s.Shards, s.Dispatches, s.Preemptions, s.Cordons, s.Remediations)
-		points.AddNote("fleet events: %d entries, digest %s", len(coord.Events()), fleet.DigestEvents(coord.Events()))
-	}
-	tables := []*experiment.Table{points}
-	if cmp := comparePolicies(reports, w); cmp != nil {
-		tables = append(tables, cmp)
-	}
-	tables = append(tables, policyFront(reports, w))
-	return tables, nil
 }
 
 // comparePolicies tabulates race vs paced per inner configuration: the

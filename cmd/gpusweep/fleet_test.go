@@ -69,8 +69,9 @@ func TestFleetSweepWithDeviceFaults(t *testing.T) {
 	}
 }
 
-// TestFleetFlagValidation pins the usage errors of the executor flag
-// group.
+// TestFleetFlagValidation pins gpusweep's face of the executor flag
+// group's usage errors: exit code 2 and the "gpusweep: " prefix. The
+// messages themselves are pinned in internal/cli.
 func TestFleetFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-executor", "cloud"},
@@ -83,7 +84,7 @@ func TestFleetFlagValidation(t *testing.T) {
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			_, stderr, code := runCLI(t, append([]string{"-device", "haswell", "-n", "48", "-products", "1"}, args...)...)
-			if code != 2 {
+			if code != 2 || !strings.HasPrefix(stderr, "gpusweep: -") {
 				t.Errorf("exit %d, want 2 (stderr: %s)", code, stderr)
 			}
 		})

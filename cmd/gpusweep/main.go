@@ -40,12 +40,10 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"strconv"
-	"sync"
 
 	"energyprop/internal/cli"
 	"energyprop/internal/device"
@@ -76,32 +74,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fronts := fs.Bool("fronts", false, "print Pareto fronts and trade-offs after the CSV")
 	jsonOut := fs.String("json", "", "also persist the sweep as JSON to this file")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
-	reps := fs.Int("reps", 1, "repeat the sweep; repeats hit the in-process outcome cache")
 	cachestats := fs.Bool("cachestats", false, "append outcome-cache counters as CSV comments")
-	faultsFlag := fs.String("faults", "", "inject deterministic faults, e.g. seed=7,transient=0.2,drop=0.1,outlier=0.05,latency=2ms")
-	retries := fs.Int("retries", 0, "extra attempts per configuration after a failed run")
-	executor := fs.String("executor", "local", `fan-out strategy: "local" or "fleet"`)
-	nodesFlag := fs.Int("nodes", 0, "simulated fleet size for -executor fleet (0 = 3)")
-	shardSize := fs.Int("shardsize", 0, "configurations per fleet shard (0 = one shard per node)")
-	nodeFaults := fs.String("nodefaults", "", "node-failure schedule for -executor fleet, e.g. seed=9,preempt=0.2,flaky=0.1,slow=0.1")
+	cf := cli.NewCampaignFlags(fs)
 	list := fs.Bool("list", false, "list the registered devices and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *reps < 1 {
-		cli.Errorf(stderr, "gpusweep: -reps must be >= 1 (got %d)\n", *reps)
-		return 2
-	}
-	if *retries < 0 {
-		cli.Errorf(stderr, "gpusweep: -retries must be >= 0 (got %d)\n", *retries)
-		return 2
-	}
-	plan, err := fault.ParsePlan(*faultsFlag)
-	if err != nil {
-		cli.Errorf(stderr, "gpusweep: -faults: %v\n", err)
-		return 2
-	}
-	fc, err := resolveFleetFlags(*executor, *nodesFlag, *shardSize, *nodeFaults)
+	plan, err := cf.Plan(*workers)
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 2
@@ -130,35 +109,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return done()
 	}
 
-	dev, err := device.Open(*devName)
+	// Model-true sweeps want the constant analytic profile where the
+	// backend distinguishes it from the traced one. The fault injector
+	// keeps the inner device's identity, so the outcome cache stays keyed
+	// by the real device and errors are never cached — a retried run
+	// re-executes and, when it succeeds, is byte-identical to the
+	// fault-free sweep.
+	plan.Device, plan.Analytic = *devName, true
+	st, err := plan.Open()
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 2
 	}
-	// Model-true sweeps want the constant analytic profile where the
-	// backend distinguishes it from the traced one.
-	if ap, ok := dev.(device.AnalyticProvider); ok {
-		dev = ap.Analytic()
-	}
-	// The fault injector wraps the device after the analytic conversion so
-	// the injected schedule applies to exactly the runs the sweep makes.
-	// It keeps the inner device's identity, so the outcome cache stays
-	// keyed by the real device and errors are never cached — a retried
-	// run re-executes and, when it succeeds, is byte-identical to the
-	// fault-free sweep.
-	var injector *fault.Device
-	if plan.Enabled() && !fc.enabled {
-		// In fleet mode the injector moves into the nodes (each wraps its
-		// own instance with a per-node derived schedule), so the reference
-		// device stays clean here.
-		injector, err = fault.Wrap(dev, plan)
-		if err != nil {
-			cli.Errorf(stderr, "gpusweep: -faults: %v\n", err)
-			return 2
-		}
-		dev = injector
-	}
-	policy := fault.RetryPolicy{MaxAttempts: *retries + 1}
+	dev, coord := st.Dev, st.Coord
+	policy := cf.Retry()
 
 	workload := device.Workload{App: *app, N: *n, Products: *products}.Normalized()
 	configs, err := dev.Configs(workload)
@@ -173,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cache := memo.New[*device.Outcome](0)
 	measure := func(ctx context.Context, dev device.Device, i int) (sweepPoint, error) {
 		var o *device.Outcome
-		attempts, err := policy.Do(ctx, device.ConfigSeed(plan.Seed, configs[i]), func(int) error {
+		attempts, err := policy.Do(ctx, device.ConfigSeed(plan.Faults.Seed, configs[i]), func(int) error {
 			var aerr error
 			o, _, aerr = cache.Do(outcomeKey(dev, workload, configs[i]), func() (*device.Outcome, error) {
 				return dev.Run(ctx, workload, configs[i])
@@ -188,48 +152,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return sweepPoint{outcome: o, attempts: attempts}, nil
 	}
-	// nodeInjectors collects the per-node fault injectors a fleet sweep
-	// creates, so the "# faults:" comment can aggregate their counters.
-	var nodeInjectors struct {
-		sync.Mutex
-		devs []*fault.Device
-	}
-	var coord *fleet.Coordinator
-	if fc.enabled {
-		name := *devName
-		factory := func(node string) (device.Device, error) {
-			d, err := device.Open(name)
-			if err != nil {
-				return nil, err
-			}
-			// Mirror the reference device's analytic conversion so node
-			// outcomes (and cache keys) match the local sweep exactly.
-			if ap, ok := d.(device.AnalyticProvider); ok {
-				d = ap.Analytic()
-			}
-			if !plan.Enabled() {
-				return d, nil
-			}
-			inj, err := fault.Wrap(d, fleet.NodePlan(plan, node))
-			if err != nil {
-				return nil, err
-			}
-			nodeInjectors.Lock()
-			nodeInjectors.devs = append(nodeInjectors.devs, inj)
-			nodeInjectors.Unlock()
-			return inj, nil
-		}
-		coord, err = fleet.New(fleet.Options{
-			Nodes:       fc.nodes,
-			ShardSize:   fc.shardSize,
-			Parallelism: *workers,
-			Chaos:       fc.chaos,
-		}, factory)
-		if err != nil {
-			cli.Errorf(stderr, "gpusweep: %v\n", err)
-			return 2
-		}
-	}
 	// The sweep streams: outcomes are committed in configuration order
 	// the moment their turn completes, so CSV rows, the JSON record, and
 	// the Pareto front build incrementally instead of materializing a
@@ -243,7 +165,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return measure(ctx, dev, i)
 		}, commit)
 	}
-	for r := 0; r < *reps-1; r++ {
+	for r := 0; r < cf.Reps-1; r++ {
 		if err := runRep(func(int, sweepPoint) error { return nil }); err != nil {
 			cli.Errorf(stderr, "gpusweep: %v\n", err)
 			return 1
@@ -267,7 +189,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Attempt counts are provenance, not measurement, and only enter the
 	// record when the fault/retry machinery is active so fault-free
 	// records stay byte-identical to earlier versions.
-	withAttempts := plan.Enabled() || *retries > 0
+	withAttempts := plan.Faults.Enabled() || cf.Retries > 0
 
 	out.Println("config,seconds,dyn_power_w,dyn_energy_j")
 	front := make([]pareto.Point, 0, len(configs))
@@ -338,22 +260,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	for _, f := range failedRows {
 		out.Printf("# failed: %s attempts=%d err=%v\n", f.key, f.attempts, f.err)
 	}
-	if injector != nil {
-		s := injector.Stats()
-		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d\n",
+	if s, n := st.Injectors.Stats(); n > 0 {
+		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d",
 			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed)
-	} else if nodeInjectors.devs != nil {
-		var s fault.Stats
-		for _, inj := range nodeInjectors.devs {
-			is := inj.Stats()
-			s.Runs += is.Runs
-			s.Transients += is.Transients
-			s.Drops += is.Drops
-			s.Outliers += is.Outliers
-			s.Delays += is.Delays
+		if coord != nil {
+			out.Printf(" (aggregated over %d node injectors)", n)
 		}
-		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d (aggregated over %d node injectors)\n",
-			s.Runs, s.Transients, s.Drops, s.Outliers, s.Delays, survivors, failed, len(nodeInjectors.devs))
+		out.Println()
 	}
 	if coord != nil {
 		s := coord.Stats()
@@ -365,7 +278,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *cachestats {
 		s := cache.Stats()
 		out.Printf("# cache: reps=%d hits=%d misses=%d dedups=%d evictions=%d size=%d\n",
-			*reps, s.Hits, s.Misses, s.Dedups, s.Evictions, s.Size)
+			cf.Reps, s.Hits, s.Misses, s.Dedups, s.Evictions, s.Size)
 	}
 
 	if survivors == 0 {
@@ -396,38 +309,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return done()
-}
-
-// fleetConfig is the resolved -executor flag group.
-type fleetConfig struct {
-	enabled   bool
-	nodes     int
-	shardSize int
-	chaos     fleet.Chaos
-}
-
-// resolveFleetFlags validates the -executor flag group. The fleet
-// sizing and chaos flags are rejected under -executor local so a typo'd
-// chaos run cannot silently fall back to a calm local pool.
-func resolveFleetFlags(executor string, nodes, shardSize int, nodeFaults string) (fleetConfig, error) {
-	switch executor {
-	case "local", "":
-		if nodes != 0 || shardSize != 0 || nodeFaults != "" {
-			return fleetConfig{}, fmt.Errorf(`-nodes, -shardsize, and -nodefaults require -executor fleet`)
-		}
-		return fleetConfig{}, nil
-	case "fleet":
-	default:
-		return fleetConfig{}, fmt.Errorf(`-executor %q: want "local" or "fleet"`, executor)
-	}
-	chaos, err := fleet.ParseChaos(nodeFaults)
-	if err != nil {
-		return fleetConfig{}, fmt.Errorf("-nodefaults: %w", err)
-	}
-	if nodes == 0 {
-		nodes = 3
-	}
-	return fleetConfig{enabled: true, nodes: nodes, shardSize: shardSize, chaos: chaos}, nil
 }
 
 // sweepPoint is one configuration's sweep outcome: either a measured

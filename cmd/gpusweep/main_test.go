@@ -185,7 +185,7 @@ func TestSweepBadReps(t *testing.T) {
 	if code != 2 {
 		t.Errorf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errOut, "-reps") {
-		t.Errorf("stderr %q should mention -reps", errOut)
+	if want := "gpusweep: -reps must be >= 1 (got 0)\n"; errOut != want {
+		t.Errorf("stderr %q, want %q", errOut, want)
 	}
 }

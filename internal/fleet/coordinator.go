@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"energyprop/internal/device"
-	"energyprop/internal/fault"
 	"energyprop/internal/parallel"
 )
 
@@ -166,15 +165,6 @@ func New(opts Options, factory DeviceFactory) (*Coordinator, error) {
 		return nil, errors.New("fleet: nil device factory")
 	}
 	return &Coordinator{opts: opts, factory: factory}, nil
-}
-
-// ForDevice builds a coordinator whose nodes each host a fresh registry
-// instance of the named device — the common construction for the
-// service and the CLIs. devicePlan, when enabled, layers deterministic
-// device-level faults (fault.Plan) on every node with per-node derived
-// plan seeds.
-func ForDevice(name string, devicePlan fault.Plan, opts Options) (*Coordinator, error) {
-	return New(opts, RegistryFactory(name, devicePlan))
 }
 
 // Options returns the resolved options the coordinator runs with.

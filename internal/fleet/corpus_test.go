@@ -85,7 +85,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 			serial.Workers = 1
 			want := runRecordStruct(t, openDev(t, tc.Device), w, serial)
 
-			coord, err := ForDevice(tc.Device, plan, Options{
+			coord, err := planCoord(tc.Device, plan, Options{
 				Nodes:       tc.Nodes,
 				ShardSize:   tc.ShardSize,
 				Parallelism: tc.Parallelism,

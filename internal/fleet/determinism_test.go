@@ -104,7 +104,7 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 			chaosSeen := Stats{}
 			for _, shardSize := range []int{1, 3} {
 				for _, parallelism := range []int{1, 4} {
-					coord, err := ForDevice(tc.name, fault.Plan{}, Options{
+					coord, err := planCoord(tc.name, fault.Plan{}, Options{
 						Nodes:       3,
 						ShardSize:   shardSize,
 						Parallelism: parallelism,
@@ -150,7 +150,7 @@ func TestFleetWithDeviceFaultsSurvivorsByteIdentical(t *testing.T) {
 			zeroAttempts(want)
 			wantBytes := marshalRecord(t, want)
 
-			coord, err := ForDevice(tc.name, plan, Options{
+			coord, err := planCoord(tc.name, plan, Options{
 				Nodes:       3,
 				ShardSize:   2,
 				CordonAfter: 1,
@@ -250,7 +250,7 @@ func TestFleetParallelismInvariance(t *testing.T) {
 	var wantRec []byte
 	var wantDigest string
 	for _, parallelism := range []int{1, 2, 8} {
-		coord, err := ForDevice(tc.name, fault.Plan{}, Options{
+		coord, err := planCoord(tc.name, fault.Plan{}, Options{
 			Nodes:       3,
 			ShardSize:   2,
 			Parallelism: parallelism,

@@ -15,7 +15,17 @@ import (
 
 // registryFactory is the plain test factory: fresh p100 per node.
 func registryFactory() DeviceFactory {
-	return RegistryFactory("p100", fault.Plan{})
+	return func(string) (device.Device, error) { return device.Open("p100") }
+}
+
+// planCoord opens a fleet Plan for the named device and returns its
+// coordinator.
+func planCoord(name string, faults fault.Plan, opts Options) (*Coordinator, error) {
+	st, err := Plan{Device: name, Faults: faults, Fleet: &opts}.Open()
+	if err != nil {
+		return nil, err
+	}
+	return st.Coord, nil
 }
 
 // newCoord builds a coordinator or fails the test.
@@ -423,21 +433,30 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-func TestRegistryFactoryDerivesNodePlans(t *testing.T) {
+func TestPlanDerivesNodePlans(t *testing.T) {
 	plan := fault.Plan{Seed: 9, Transient: 0.5}
-	f := RegistryFactory("p100", plan)
-	d0, err := f("node0")
+	st, err := Plan{Device: "p100", Faults: plan, Fleet: &Options{Nodes: 2}}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := f("node1")
+	if st.Dev != st.Ref {
+		t.Errorf("fleet stack streams %T, want the clean reference device", st.Dev)
+	}
+	d0, err := st.Coord.factory("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := st.Coord.factory("node1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fd0, ok0 := d0.(*fault.Device)
 	fd1, ok1 := d1.(*fault.Device)
 	if !ok0 || !ok1 {
-		t.Fatalf("factory did not wrap faults: %T, %T", d0, d1)
+		t.Fatalf("node factory did not wrap faults: %T, %T", d0, d1)
+	}
+	if _, n := st.Injectors.Stats(); n != 2 {
+		t.Errorf("stack collected %d injectors, want 2", n)
 	}
 	// The wrapped devices keep the registry identity (the cache-sharing
 	// precondition) while their schedules derive from distinct seeds.

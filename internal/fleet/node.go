@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"energyprop/internal/device"
-	"energyprop/internal/fault"
 )
 
 // DeviceFactory opens the device a named node hosts. The coordinator
@@ -16,34 +15,6 @@ import (
 // device — same registry name, kind, and catalog spec — or fleet
 // records will differ from the local executor's.
 type DeviceFactory func(node string) (device.Device, error)
-
-// RegistryFactory is the common factory: every node hosts a fresh
-// instance of the named registry device, optionally wrapped in a
-// deterministic device-fault injector whose plan seed is derived per
-// node (so two nodes never replay the same device-level fault
-// schedule). A zero plan skips the wrapper.
-func RegistryFactory(name string, plan fault.Plan) DeviceFactory {
-	return func(node string) (device.Device, error) {
-		dev, err := device.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		if !plan.Enabled() {
-			return dev, nil
-		}
-		return fault.Wrap(dev, NodePlan(plan, node))
-	}
-}
-
-// NodePlan derives one node's device-fault plan from a fleet-wide one:
-// the same schedule shape with a seed hashed per node, so two nodes
-// never replay identical device-level fault sequences. Custom
-// DeviceFactory implementations that layer fault.Wrap themselves should
-// use this for the same property.
-func NodePlan(plan fault.Plan, node string) fault.Plan {
-	plan.Seed = drawSeed(plan.Seed, "devplan", node, 0)
-	return plan
-}
 
 // node is one simulated worker in the fleet: a hosted device plus the
 // health bookkeeping the coordinator's control loop runs on. All node

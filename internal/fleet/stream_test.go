@@ -43,7 +43,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 			want := runRecord(t, openDev(t, tc.name), tc.w, serial)
 
 			for _, parallelism := range []int{1, 4} {
-				coord, err := ForDevice(tc.name, fault.Plan{}, Options{
+				coord, err := planCoord(tc.name, fault.Plan{}, Options{
 					Nodes:       3,
 					ShardSize:   2,
 					Parallelism: parallelism,
@@ -69,7 +69,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 // TestFleetEachCommitOrder drives fleet.Each directly under chaos and
 // checks the commit contract: items 0..n-1 in strict order, once each.
 func TestFleetEachCommitOrder(t *testing.T) {
-	coord, err := ForDevice("p100", fault.Plan{}, Options{
+	coord, err := planCoord("p100", fault.Plan{}, Options{
 		Nodes:       4,
 		ShardSize:   3,
 		Parallelism: 4,
@@ -109,7 +109,7 @@ func TestFleetEachCommitOrder(t *testing.T) {
 // TestFleetEachCommitErrorAborts: a commit error aborts the run and no
 // later item is committed.
 func TestFleetEachCommitErrorAborts(t *testing.T) {
-	coord, err := ForDevice("p100", fault.Plan{}, Options{Nodes: 3, ShardSize: 2, Parallelism: 3})
+	coord, err := planCoord("p100", fault.Plan{}, Options{Nodes: 3, ShardSize: 2, Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,6 +115,10 @@ func TestSweepFleetKnobValidation(t *testing.T) {
 		{"node_faults without fleet", map[string]any{"node_faults": map[string]any{"seed": 1}}},
 		{"nodes over cap", map[string]any{"executor": "fleet", "nodes": MaxRequestNodes + 1}},
 		{"negative shard size", map[string]any{"executor": "fleet", "shard_size": -1}},
+		{"bad device fault probability", map[string]any{
+			"executor": "fleet",
+			"faults":   map[string]any{"seed": 1, "transient": 1.5},
+		}},
 		{"bad chaos probability", map[string]any{
 			"executor":    "fleet",
 			"node_faults": map[string]any{"seed": 1, "preempt": 1.5},

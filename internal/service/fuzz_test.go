@@ -71,6 +71,48 @@ var fuzzSeeds = []string{
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"paced","floor":0.96}`,
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"paced","floor":-0.1}`,
 	`{"device":"p100","workload":{"N":1024,"Products":2},"policy":"race","slack":1e308}`,
+	// Trailing data after the JSON value, and a body past the size cap.
+	`{"device":"p100","workload":{"N":1024,"Products":2},"config":"bs=8/g=1/r=2","seed":1} trailing`,
+	`{"device":"haswell","workload":{"N":48,"Products":1},"seed":5}}`,
+	`{}{}`,
+	oversizeBody,
+}
+
+// oversizeBody is a well-formed request one byte past
+// MaxRequestBodyBytes.
+var oversizeBody = func() string {
+	head, tail := `{"device":"p100","pad":"`, `"}`
+	return head + strings.Repeat("x", MaxRequestBodyBytes+1-len(head)-len(tail)) + tail
+}()
+
+// skipCostly skips fuzz inputs that could decode into a valid large
+// request and run real measurements. Bodies past MaxRequestBodyBytes are
+// rejected before any measurement, so they stay in.
+func skipCostly(t *testing.T, body string) {
+	if len(body) > 4096 && len(body) <= MaxRequestBodyBytes {
+		t.Skip()
+	}
+}
+
+// TestDecodeRejectsTrailingAndOversizeBodies: a body carries exactly one
+// JSON value (400 otherwise), and the size cap answers 413.
+func TestDecodeRejectsTrailingAndOversizeBodies(t *testing.T) {
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/measure", `{"device":"p100","workload":{"N":1024,"Products":2},"config":"bs=8/g=1/r=2","seed":1} x`, http.StatusBadRequest},
+		{"/sweep", `{"device":"haswell","workload":{"N":48,"Products":1},"seed":5}}`, http.StatusBadRequest},
+		{"/sweep", `{}{}`, http.StatusBadRequest},
+		{"/measure", oversizeBody, http.StatusRequestEntityTooLarge},
+		{"/sweep", oversizeBody, http.StatusRequestEntityTooLarge},
+		{"/sweep", `{"device":"haswell","workload":{"N":48,"Products":1},"seed":5}` + " \n\t ", http.StatusOK},
+	} {
+		rr := postBody(tc.path, tc.body)
+		if rr.Code != tc.want {
+			t.Errorf("%s %.60q: status %d, want %d: %s", tc.path, tc.body, rr.Code, tc.want, rr.Body)
+		}
+	}
 }
 
 // checkResponse is the property both fuzzers assert: the decoder and
@@ -102,9 +144,7 @@ func FuzzMeasureDecode(f *testing.F) {
 		// request would make the fuzzer run real measurements; bound the
 		// cost by capping the body size (valid large numbers are still
 		// covered by the explicit seeds above).
-		if len(body) > 4096 {
-			t.Skip()
-		}
+		skipCostly(t, body)
 		checkResponse(t, postBody("/measure", body), body)
 	})
 }
@@ -115,9 +155,7 @@ func FuzzSweepDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		if len(body) > 4096 {
-			t.Skip()
-		}
+		skipCostly(t, body)
 		checkResponse(t, postBody("/sweep", body), body)
 	})
 }

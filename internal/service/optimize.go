@@ -130,7 +130,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Query().Get("device")
-	if _, err := openDevice(name); err != nil {
+	if err := knownDevice(name); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -79,6 +79,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -128,6 +129,9 @@ const (
 	// active-idle baseline, keeping the static/dynamic decomposition
 	// meaningful.
 	MaxRequestFloor = 0.95
+	// MaxRequestBodyBytes caps a request body; the largest legitimate
+	// body is a few hundred bytes.
+	MaxRequestBodyBytes = 1 << 20
 )
 
 // StatusClientClosedRequest is the nginx-convention 499 recorded when
@@ -148,14 +152,14 @@ func checkWorkloadLimits(w device.Workload) error {
 	return nil
 }
 
-// openDevice resolves a request's device name through the registry. Each
-// request gets a fresh instance so ablation state cannot leak between
-// calls; the error for an unknown name enumerates the registered ones.
-func openDevice(name string) (device.Device, error) {
+// knownDevice rejects a device name the registry does not know; the
+// error enumerates the registered ones.
+func knownDevice(name string) error {
 	if name == "" {
-		return nil, fmt.Errorf("missing device name (known: %s)", deviceNames())
+		return fmt.Errorf("missing device name (known: %s)", deviceNames())
 	}
-	return device.Open(name)
+	_, err := device.Open(name)
+	return err
 }
 
 func deviceNames() string {
@@ -323,23 +327,6 @@ func retryPolicy(retries int) (fault.RetryPolicy, error) {
 	return fault.RetryPolicy{MaxAttempts: retries + 1}, nil
 }
 
-// wrapFaults applies a request's fault schedule to the opened device.
-// A fault-wrapped device may share the point cache with its registry
-// twin: injected faults fail loudly and never shift measured floats, so
-// any value that reaches the cache is the clean one.
-func wrapFaults(dev device.Device, req *FaultRequest) (device.Device, error) {
-	if req == nil {
-		return dev, nil
-	}
-	// Bound the injected latency by the maximum request deadline: an
-	// uncapped latency_ms would let one request park a handler (and its
-	// device runs) for arbitrary wall-clock time.
-	if math.IsNaN(req.LatencyMS) || req.LatencyMS < 0 || req.LatencyMS > MaxRequestTimeoutMS {
-		return nil, fmt.Errorf("faults.latency_ms %v out of [0, %d]", req.LatencyMS, MaxRequestTimeoutMS)
-	}
-	return fault.Wrap(dev, req.plan())
-}
-
 // PolicyParams are the optional energy-policy fields shared by /measure
 // and /sweep. A named policy wraps the device before configurations are
 // enumerated, so every configuration key gains a "pol=…/s=…/f=…/"
@@ -358,32 +345,29 @@ type PolicyParams struct {
 }
 
 // options validates the policy fields and resolves them to wrapper
-// options; enabled is false when no policy was requested.
-func (p PolicyParams) options() (opts policy.Options, enabled bool, err error) {
+// options; nil means no policy was requested. Plan.Open checks the
+// resolved options.
+func (p PolicyParams) options() (*policy.Options, error) {
 	if p.Policy == "" {
 		if p.Slack != 0 || p.Floor != 0 {
-			return opts, false, fmt.Errorf(`slack and floor require a policy (known: %v, or "all")`, policy.Strategies())
+			return nil, fmt.Errorf(`slack and floor require a policy (known: %v, or "all")`, policy.Strategies())
 		}
-		return opts, false, nil
+		return nil, nil
 	}
 	var strategies []string
 	if p.Policy != "all" {
 		if !policy.ValidStrategy(p.Policy) {
-			return opts, false, fmt.Errorf(`unknown policy %q (known: %v, or "all")`, p.Policy, policy.Strategies())
+			return nil, fmt.Errorf(`unknown policy %q (known: %v, or "all")`, p.Policy, policy.Strategies())
 		}
 		strategies = []string{p.Policy}
 	}
 	if math.IsNaN(p.Slack) || p.Slack < 0 || p.Slack > MaxRequestSlack {
-		return opts, false, fmt.Errorf("slack=%v out of range [1, %d] (0 = default)", p.Slack, MaxRequestSlack)
+		return nil, fmt.Errorf("slack=%v out of range [1, %d] (0 = default)", p.Slack, MaxRequestSlack)
 	}
 	if math.IsNaN(p.Floor) || p.Floor < 0 || p.Floor > MaxRequestFloor {
-		return opts, false, fmt.Errorf("floor=%v out of range [0, %g) (0 = default)", p.Floor, MaxRequestFloor)
+		return nil, fmt.Errorf("floor=%v out of range [0, %g) (0 = default)", p.Floor, MaxRequestFloor)
 	}
-	opts = policy.Options{Strategies: strategies, Slack: p.Slack, FloorFrac: p.Floor}.Normalized()
-	if err := opts.Validate(); err != nil {
-		return opts, false, err
-	}
-	return opts, true, nil
+	return &policy.Options{Strategies: strategies, Slack: p.Slack, FloorFrac: p.Floor}, nil
 }
 
 // MeasureRequest is the /measure body. Config is the configuration's
@@ -425,24 +409,21 @@ type MeasureResponse struct {
 	Attempts int `json:"attempts"`
 }
 
-// resolveRequest validates the shared (device, workload, policy) part
-// of a request body and returns the opened (and, under a policy,
-// wrapped) device, the normalized workload, and its enumerated
-// configurations. All failures are client errors.
-func resolveRequest(name string, w device.Workload, pol PolicyParams) (device.Device, device.Workload, []device.Config, error) {
-	dev, err := openDevice(name)
+// openStack validates the part of a request body that selects the
+// device stack — device, workload, policy, and fault schedule — and
+// opens it on the given fleet (nil: the local pool). It returns the
+// stack, the normalized workload, and its enumerated configurations.
+// Each request gets fresh device instances, so ablation state cannot
+// leak between calls. All failures are client errors.
+func openStack(name string, w device.Workload, pol PolicyParams, faults *FaultRequest, fl *fleet.Options) (*fleet.Stack, device.Workload, []device.Config, error) {
+	if name == "" {
+		return nil, w, nil, knownDevice(name)
+	}
+	popts, err := pol.options()
 	if err != nil {
 		return nil, w, nil, err
 	}
-	popts, enabled, err := pol.options()
-	if err != nil {
-		return nil, w, nil, err
-	}
-	if enabled {
-		if dev, err = policy.Wrap(dev, popts); err != nil {
-			return nil, w, nil, err
-		}
-	}
+	plan := fleet.Plan{Device: name, Policy: popts, Fleet: fl}
 	w = w.Normalized()
 	if err := w.Validate(); err != nil {
 		return nil, w, nil, err
@@ -450,11 +431,24 @@ func resolveRequest(name string, w device.Workload, pol PolicyParams) (device.De
 	if err := checkWorkloadLimits(w); err != nil {
 		return nil, w, nil, err
 	}
-	configs, err := dev.Configs(w)
+	if faults != nil {
+		// Bound the injected latency by the maximum request deadline: an
+		// uncapped latency_ms would let one request park a handler (and
+		// its device runs) for arbitrary wall-clock time.
+		if math.IsNaN(faults.LatencyMS) || faults.LatencyMS < 0 || faults.LatencyMS > MaxRequestTimeoutMS {
+			return nil, w, nil, fmt.Errorf("faults.latency_ms %v out of [0, %d]", faults.LatencyMS, MaxRequestTimeoutMS)
+		}
+		plan.Faults = faults.plan()
+	}
+	st, err := plan.Open()
 	if err != nil {
 		return nil, w, nil, err
 	}
-	return dev, w, configs, nil
+	configs, err := st.Ref.Configs(w)
+	if err != nil {
+		return nil, w, nil, err
+	}
+	return st, w, configs, nil
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
@@ -463,11 +457,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MeasureRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	dev, wl, configs, err := resolveRequest(req.Device, req.Workload, req.PolicyParams)
+	st, wl, configs, err := openStack(req.Device, req.Workload, req.PolicyParams, req.Faults, nil)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -498,20 +491,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.ContinueOnError = true
-	rdev, err := wrapFaults(dev, req.Faults)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	// One-point campaign: /measure flows through the same streaming
 	// engine as full sweeps, so seeding, statistics, retries, and caching
 	// are identical — a /measure of a point a /sweep already computed is
 	// a cache hit, and N concurrent identical /measure requests collapse
 	// to one device run. The IndexSink feeds the measured point into the
 	// Pareto index, so even single-point probes grow /optimize coverage.
-	rs := campaign.NewResultSink(rdev, wl)
+	rs := campaign.NewResultSink(st.Ref, wl)
 	sink := campaign.MultiSink{rs, campaign.NewIndexSink(s.index, req.Device, wl)}
-	if err := campaign.Stream(ctx, rdev, wl, []device.Config{chosen}, spec, sink); err != nil {
+	if err := campaign.Stream(ctx, st.Dev, wl, []device.Config{chosen}, spec, sink); err != nil {
 		writeCampaignError(w, err)
 		return
 	}
@@ -609,12 +597,9 @@ func (n *NodeFaultRequest) chaos() fleet.Chaos {
 	}
 }
 
-// sweepCoordinator validates a sweep's executor knobs and builds the
-// fleet coordinator when one is requested. A nil, nil return means the
-// local pool. Device-level faults ride along into the fleet (each node
-// derives its own schedule from the request plan), so the caller must
-// not also wrap the campaign device in fleet mode.
-func sweepCoordinator(req *SweepRequest) (*fleet.Coordinator, error) {
+// sweepFleet validates a sweep's executor knobs and returns the fleet
+// they select; nil means the local pool.
+func sweepFleet(req *SweepRequest) (*fleet.Options, error) {
 	switch req.Executor {
 	case "", "local":
 		if req.Nodes != 0 || req.ShardSize != 0 || req.NodeFaults != nil {
@@ -632,46 +617,11 @@ func sweepCoordinator(req *SweepRequest) (*fleet.Coordinator, error) {
 	if nodes < 1 || nodes > MaxRequestNodes {
 		return nil, fmt.Errorf("nodes=%d out of range 1..%d", req.Nodes, MaxRequestNodes)
 	}
-	var plan fault.Plan
-	if req.Faults != nil {
-		if math.IsNaN(req.Faults.LatencyMS) || req.Faults.LatencyMS < 0 || req.Faults.LatencyMS > MaxRequestTimeoutMS {
-			return nil, fmt.Errorf("faults.latency_ms %v out of [0, %d]", req.Faults.LatencyMS, MaxRequestTimeoutMS)
-		}
-		plan = req.Faults.plan()
-	}
-	var chaos fleet.Chaos
+	opts := &fleet.Options{Nodes: nodes, ShardSize: req.ShardSize, Parallelism: req.Workers}
 	if req.NodeFaults != nil {
-		chaos = req.NodeFaults.chaos()
+		opts.Chaos = req.NodeFaults.chaos()
 	}
-	opts := fleet.Options{
-		Nodes:       nodes,
-		ShardSize:   req.ShardSize,
-		Parallelism: req.Workers,
-		Chaos:       chaos,
-	}
-	popts, enabled, err := req.PolicyParams.options()
-	if err != nil {
-		return nil, err
-	}
-	if !enabled {
-		return fleet.ForDevice(req.Device, plan, opts)
-	}
-	// Policy sweeps need every node to host the same policy wrapper the
-	// reference device carries, or the nodes would reject the policy
-	// configuration keys.
-	name := req.Device
-	return fleet.New(opts, func(node string) (device.Device, error) {
-		dev, err := device.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		if plan.Enabled() {
-			if dev, err = fault.Wrap(dev, fleet.NodePlan(plan, node)); err != nil {
-				return nil, err
-			}
-		}
-		return policy.Wrap(dev, popts)
-	})
+	return opts, nil
 }
 
 // setFleetHeaders exposes a fleet sweep's control-plane activity.
@@ -689,8 +639,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Workers < 0 || req.Workers > MaxRequestWorkers {
@@ -698,7 +647,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("workers=%d out of range 0..%d", req.Workers, MaxRequestWorkers))
 		return
 	}
-	dev, wl, configs, err := resolveRequest(req.Device, req.Workload, req.PolicyParams)
+	fl, err := sweepFleet(&req)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	st, wl, configs, err := openStack(req.Device, req.Workload, req.PolicyParams, req.Faults, fl)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -717,20 +671,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.ContinueOnError = true
-	coord, err := sweepCoordinator(&req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rdev := dev
-	if coord != nil {
-		// Fleet mode: every node hosts (and fault-wraps) its own device
-		// instance, so the reference device stays clean.
-		spec.Executor = fleet.Executor{Coord: coord}
-	} else if rdev, err = wrapFaults(dev, req.Faults); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	spec.Executor = st.Executor
 	// The sweep streams: outcomes fan out to a compact record writer
 	// (the response body is serialized as points commit, never holding a
 	// materialized []PointReport), the Pareto index behind /optimize, and
@@ -739,20 +680,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// store.CampaignRecord, so clients see the exact same wire format the
 	// materialized path produced.
 	var body bytes.Buffer
-	rsink, err := campaign.NewRecordSink(&body, dev, wl, true)
+	rsink, err := campaign.NewRecordSink(&body, st.Ref, wl, true)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	counts := &campaign.CountingSink{}
 	sink := campaign.MultiSink{rsink, campaign.NewIndexSink(s.index, req.Device, wl), counts}
-	if err := campaign.Stream(ctx, rdev, wl, configs, spec, sink); err != nil {
+	if err := campaign.Stream(ctx, st.Dev, wl, configs, spec, sink); err != nil {
 		writeCampaignError(w, err)
 		return
 	}
 	s.setCacheHeaders(w)
-	if coord != nil {
-		setFleetHeaders(w, coord)
+	if st.Coord != nil {
+		setFleetHeaders(w, st.Coord)
 	}
 	if n := counts.Failed(); n > 0 {
 		w.Header().Set("X-Points-Failed", strconv.Itoa(n))
@@ -798,13 +739,29 @@ func writeCampaignError(w http.ResponseWriter, err error) {
 	}
 }
 
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON decodes exactly one JSON value from the request body into
+// dst and answers the client itself when it cannot: 413 past
+// MaxRequestBodyBytes, 400 for malformed JSON, unknown fields, or any
+// non-whitespace data after the value.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %v", err)
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooBig) {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return nil
+	status := http.StatusBadRequest
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, fmt.Sprintf("bad request body: %v", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
