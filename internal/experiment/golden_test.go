@@ -9,17 +9,15 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
-// TestGoldenOutputs locks down the rendered output of the fully
-// deterministic experiments: any unintended change to the catalog, the
-// theorem math, or the table renderer shows up as a golden diff. The
-// CPU-model experiments (dvfs, cpumodel, fig4) are pinned so the
-// zero-alloc scratch/caching refactor of the cpusim hot path is provably
-// output-neutral: their goldens were generated from the pre-refactor
-// implementation and must stay byte-identical.
+// TestGoldenOutputs locks down the rendered output of every registered
+// experiment at full size with seed 1: any unintended change to the
+// catalog, the simulators, the measurement loop, the theorem math, or
+// the table renderer shows up as a golden diff. The list comes from the
+// registry, so a new experiment is enrolled automatically and fails
+// until its golden is committed.
 // Regenerate intentionally with: go test ./internal/experiment -run Golden -update
 func TestGoldenOutputs(t *testing.T) {
-	for _, id := range []string{"table1", "theory", "dvfs", "cpumodel", "fig4"} {
-		id := id
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			e, err := Get(id)
 			if err != nil {
