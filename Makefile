@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint bench-baseline bench-gate cache-sanity
+.PHONY: build test race vet lint loc bench-baseline bench-gate cache-sanity
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ vet:
 
 lint:
 	$(GO) run ./cmd/epvet ./...
+
+# loc prints the line counts of the tracked Go files outside bench/,
+# non-test and test: the size figure each change reports.
+loc:
+	@printf 'non-test %s\n' "$$(git ls-files '*.go' ':!:bench/' ':!:*_test.go' | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(git ls-files '*_test.go' ':!:bench/' | xargs cat | wc -l)"
 
 # bench-baseline snapshots the whole benchmark suite (one iteration per
 # benchmark keeps it fast; allocs/op is iteration-count independent) as

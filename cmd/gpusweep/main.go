@@ -14,8 +14,9 @@
 //	gpusweep -device p100 -reps 3 -cachestats
 //	gpusweep -list
 //
-// With -reps the sweep is repeated; repeats are answered from an
-// in-process content-addressed outcome cache (the runs are
+// The sweep is a model-true campaign (campaign.Spec.ModelTrue): one
+// device run per configuration, no meter. With -reps it is repeated;
+// repeats are answered from the campaign point cache (the runs are
 // deterministic, so a warm rerun is byte-identical and nearly free),
 // and -cachestats appends the cache counters as CSV comments.
 //
@@ -40,19 +41,16 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 
+	"energyprop/internal/campaign"
 	"energyprop/internal/cli"
 	"energyprop/internal/device"
-	"energyprop/internal/fault"
 	"energyprop/internal/fleet"
-	"energyprop/internal/memo"
-	"energyprop/internal/parallel"
 	"energyprop/internal/pareto"
-	"energyprop/internal/store"
 )
 
 func main() {
@@ -74,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fronts := fs.Bool("fronts", false, "print Pareto fronts and trade-offs after the CSV")
 	jsonOut := fs.String("json", "", "also persist the sweep as JSON to this file")
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = one per CPU)")
-	cachestats := fs.Bool("cachestats", false, "append outcome-cache counters as CSV comments")
+	cachestats := fs.Bool("cachestats", false, "append point-cache counters as CSV comments")
 	cf := cli.NewCampaignFlags(fs)
 	list := fs.Bool("list", false, "list the registered devices and exit")
 	if err := fs.Parse(args); err != nil {
@@ -111,7 +109,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Model-true sweeps want the constant analytic profile where the
 	// backend distinguishes it from the traced one. The fault injector
-	// keeps the inner device's identity, so the outcome cache stays keyed
+	// keeps the inner device's identity, so the point cache stays keyed
 	// by the real device and errors are never cached — a retried run
 	// re-executes and, when it succeeds, is byte-identical to the
 	// fault-free sweep.
@@ -121,52 +119,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 2
 	}
-	dev, coord := st.Dev, st.Coord
-	policy := cf.Retry()
+	coord := st.Coord
 
 	workload := device.Workload{App: *app, N: *n, Products: *products}.Normalized()
-	configs, err := dev.Configs(workload)
+	configs, err := st.Dev.Configs(workload)
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 1
 	}
-	// Every run goes through the outcome cache, so -reps reruns (and any
+	// Every run goes through the point cache, so -reps reruns (and any
 	// duplicate configurations) collapse to one simulator invocation per
-	// distinct point; the runs are deterministic, so a cached outcome is
-	// identical to a fresh one.
-	cache := memo.New[*device.Outcome](0)
-	measure := func(ctx context.Context, dev device.Device, i int) (sweepPoint, error) {
-		var o *device.Outcome
-		attempts, err := policy.Do(ctx, device.ConfigSeed(plan.Faults.Seed, configs[i]), func(int) error {
-			var aerr error
-			o, _, aerr = cache.Do(outcomeKey(dev, workload, configs[i]), func() (*device.Outcome, error) {
-				return dev.Run(ctx, workload, configs[i])
-			})
-			return aerr
-		})
-		if err != nil {
-			if fault.IsContextErr(err) {
-				return sweepPoint{}, err
-			}
-			return sweepPoint{attempts: attempts, err: err}, nil
-		}
-		return sweepPoint{outcome: o, attempts: attempts}, nil
-	}
-	// The sweep streams: outcomes are committed in configuration order
-	// the moment their turn completes, so CSV rows, the JSON record, and
-	// the Pareto front build incrementally instead of materializing a
-	// []sweepPoint first. Warm -reps drive the cache through a
-	// discarding commit; only the final rep emits.
-	runRep := func(commit func(int, sweepPoint) error) error {
-		if coord != nil {
-			return fleet.Each(ctx, coord, len(configs), measure, commit)
-		}
-		return parallel.Each(ctx, *workers, len(configs), func(ctx context.Context, i int) (sweepPoint, error) {
-			return measure(ctx, dev, i)
-		}, commit)
+	// distinct point; the runs are deterministic, so a cached point is
+	// identical to a fresh one. Warm reps discard their outcomes; only
+	// the final rep emits.
+	spec := campaign.Spec{
+		ModelTrue:       true,
+		Seed:            plan.Faults.Seed,
+		Workers:         *workers,
+		Retry:           cf.Retry(),
+		ContinueOnError: true,
+		Cache:           campaign.NewPointCache(0),
+		Executor:        st.Executor,
 	}
 	for r := 0; r < cf.Reps-1; r++ {
-		if err := runRep(func(int, sweepPoint) error { return nil }); err != nil {
+		if err := campaign.Stream(ctx, st.Dev, workload, configs, spec, campaign.Discard); err != nil {
 			cli.Errorf(stderr, "gpusweep: %v\n", err)
 			return 1
 		}
@@ -175,11 +151,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// The optional JSON record streams too. An aborted sweep removes the
 	// partial file: a truncated record must not pose as a campaign.
 	var jsonFile *os.File
-	var cw *store.CampaignWriter
+	var record campaign.Sink = campaign.Discard
 	if *jsonOut != "" {
 		jsonFile, err = os.Create(*jsonOut)
 		if err == nil {
-			cw, err = store.NewCampaignWriter(jsonFile, dev.Spec().CatalogName, dev.Kind(), workload)
+			record, err = campaign.NewRecordSink(jsonFile, st.Dev, workload, false)
 		}
 		if err != nil {
 			cli.Errorf(stderr, "gpusweep: writing %s: %v\n", *jsonOut, err)
@@ -192,52 +168,47 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	withAttempts := plan.Faults.Enabled() || cf.Retries > 0
 
 	out.Println("config,seconds,dyn_power_w,dyn_energy_j")
+	// The sweep streams: outcomes are committed in configuration order
+	// the moment their turn completes, so CSV rows, the JSON record, and
+	// the Pareto front build incrementally. Failed configurations degrade
+	// to comment rows so downstream CSV consumers still parse the
+	// survivors; they are buffered here because comments trail the data
+	// section.
 	front := make([]pareto.Point, 0, len(configs))
-	// Failed configurations degrade to comment rows so downstream CSV
-	// consumers still parse the survivors; they are buffered here because
-	// comments trail the data section.
-	type failedRow struct {
-		key      string
-		attempts int
-		err      error
-	}
-	var failedRows []failedRow
-	survivors := 0
-	emit := func(i int, p sweepPoint) error {
-		recAttempts := 0
-		if withAttempts {
-			recAttempts = p.attempts
-		}
-		if p.err != nil {
-			failedRows = append(failedRows, failedRow{key: configs[i].Key(), attempts: p.attempts, err: p.err})
-			if cw != nil {
-				return cw.WriteFailed(store.FailedPoint{
-					Config:   configs[i].Key(),
-					Label:    configs[i].String(),
-					Attempts: recAttempts,
-					Error:    p.err.Error(),
-				})
+	var failedRows []campaign.PointFailure
+	emit := campaign.FuncSink{
+		AcceptFunc: func(o campaign.PointOutcome) error {
+			if f := o.Failure; f != nil {
+				failedRows = append(failedRows, *f)
+			} else {
+				p := o.Report
+				out.Printf("%s,%.4f,%.2f,%.1f\n",
+					p.Config.Key(), p.TrueSeconds, p.TrueEnergyJ/p.TrueSeconds, p.TrueEnergyJ)
+				front = append(front, pareto.Point{Label: p.Config.String(), Time: p.TrueSeconds, Energy: p.TrueEnergyJ})
+			}
+			if !withAttempts {
+				o.Report.Attempts = 0
+				if f := o.Failure; f != nil {
+					o.Failure = &campaign.PointFailure{Config: f.Config, Err: f.Err}
+				}
+			}
+			return record.Accept(o)
+		},
+		FlushFunc: func() error {
+			if jsonFile == nil {
+				return nil
+			}
+			err := record.Flush()
+			if cerr := jsonFile.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return fmt.Errorf("writing %s: %w", *jsonOut, err)
 			}
 			return nil
-		}
-		survivors++
-		o := p.outcome
-		out.Printf("%s,%.4f,%.2f,%.1f\n",
-			configs[i].Key(), o.TrueSeconds, o.TrueEnergyJ/o.TrueSeconds, o.TrueEnergyJ)
-		front = append(front, pareto.Point{Label: configs[i].String(), Time: o.TrueSeconds, Energy: o.TrueEnergyJ})
-		if cw != nil {
-			return cw.WritePoint(store.MeasuredPoint{
-				Config:     configs[i].Key(),
-				Label:      configs[i].String(),
-				Seconds:    o.TrueSeconds,
-				DynPowerW:  o.TrueEnergyJ / o.TrueSeconds,
-				DynEnergyJ: o.TrueEnergyJ,
-				Attempts:   recAttempts,
-			})
-		}
-		return nil
+		},
 	}
-	if err := runRep(emit); err != nil {
+	if err := campaign.Stream(ctx, st.Dev, workload, configs, spec, emit); err != nil {
 		if jsonFile != nil {
 			_ = jsonFile.Close()    //lint:ignore droppederr the campaign already failed; the partial file is removed next
 			_ = os.Remove(*jsonOut) //lint:ignore droppederr best-effort cleanup of a partial record on the error exit
@@ -245,20 +216,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 1
 	}
-	if cw != nil {
-		err := cw.Close()
-		if cerr := jsonFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			_ = os.Remove(*jsonOut) //lint:ignore droppederr best-effort cleanup of a partial record on the error exit
-			cli.Errorf(stderr, "gpusweep: writing %s: %v\n", *jsonOut, err)
-			return 1
-		}
-	}
 	failed := len(failedRows)
+	survivors := len(front)
 	for _, f := range failedRows {
-		out.Printf("# failed: %s attempts=%d err=%v\n", f.key, f.attempts, f.err)
+		out.Printf("# failed: %s attempts=%d err=%v\n", f.Config.Key(), f.Attempts, f.Err)
 	}
 	if s, n := st.Injectors.Stats(); n > 0 {
 		out.Printf("# faults: runs=%d transients=%d drops=%d outliers=%d delays=%d survivors=%d failed=%d",
@@ -276,7 +237,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *cachestats {
-		s := cache.Stats()
+		s := spec.Cache.Stats()
 		out.Printf("# cache: reps=%d hits=%d misses=%d dedups=%d evictions=%d size=%d\n",
 			cf.Reps, s.Hits, s.Misses, s.Dedups, s.Evictions, s.Size)
 	}
@@ -309,26 +270,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return done()
-}
-
-// sweepPoint is one configuration's sweep outcome: either a measured
-// model-true outcome or the error that exhausted its retry budget, plus
-// the number of attempts consumed either way.
-type sweepPoint struct {
-	outcome  *device.Outcome
-	attempts int
-	err      error
-}
-
-// outcomeKey derives the content-addressed cache key of one model-true
-// device run. The simulators are deterministic, so an outcome is a pure
-// function of (device identity, normalized workload, configuration key)
-// and a digest over those fields addresses it exactly.
-func outcomeKey(dev device.Device, w device.Workload, c device.Config) string {
-	return memo.Digest(
-		"gpusweep-outcome/v1",
-		dev.Name(), dev.Kind(), dev.Spec().CatalogName,
-		w.App, strconv.Itoa(w.N), strconv.Itoa(w.Products),
-		c.Key(),
-	)
 }

@@ -144,7 +144,7 @@ func TestBadWorkload(t *testing.T) {
 	}
 }
 
-// TestSweepRepsWarmCache: -reps reruns must be answered by the outcome
+// TestSweepRepsWarmCache: -reps reruns must be answered by the point
 // cache (one miss per config, the rest hits), and the CSV body must be
 // identical to a single-rep sweep — the cache is invisible in the data.
 func TestSweepRepsWarmCache(t *testing.T) {

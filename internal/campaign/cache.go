@@ -34,8 +34,19 @@ func NewPointCache(capacity int) *PointCache {
 // seed, and every Spec knob that shapes the statistical loop. Two
 // campaigns that agree on all of these produce bit-identical points, so
 // a digest collision-free over these fields makes the cache exact.
+// A model-true point is a function of the device run alone, so its key
+// digests only the device identity, workload and configuration key,
+// under a domain tag of its own.
 func pointKey(dev device.Device, w device.Workload, c device.Config, spec Spec) string {
 	s := dev.Spec()
+	if spec.ModelTrue {
+		return memo.Digest(
+			"campaign-model-true/v1",
+			dev.Name(), dev.Kind(), s.CatalogName,
+			w.App, strconv.Itoa(w.N), strconv.Itoa(w.Products),
+			c.Key(),
+		)
+	}
 	m := spec.Measure
 	return memo.Digest(
 		"campaign-point/v1",

@@ -5,6 +5,8 @@
 // WattsUp-style meter with noise, and repeated until the paper's
 // statistical criterion is met (95% confidence, 2.5% precision),
 // producing a persistable record of *measured* — not model-true — values.
+// The same engine runs exhaustive model-true sweeps (Spec.ModelTrue):
+// one device run per configuration and no meter.
 package campaign
 
 import (
@@ -77,6 +79,15 @@ type Spec struct {
 	// so the executor shapes wall-clock and fault tolerance, never
 	// results.
 	Executor Executor
+	// ModelTrue skips the meter and the statistical loop: each point is
+	// one device run, reported with MeasuredEnergyJ = TrueEnergyJ,
+	// HalfWidthJ = 0 and Runs = 0. It is the exhaustive model-true sweep
+	// of gpusweep and the scheduler experiment, served by the same cache,
+	// retry, degradation and executor machinery as a measured campaign.
+	// The meter knobs (Measure, NoiseFrac, SpikeProb) are ignored, and
+	// Seed only seeds the retry backoff jitter. Model-true points get
+	// cache keys of their own, so they never alias measured ones.
+	ModelTrue bool
 }
 
 // DefaultSpec returns the paper's methodology with 1% meter noise.
@@ -86,7 +97,9 @@ func DefaultSpec(seed int64) Spec {
 	return Spec{Measure: m, NoiseFrac: 0.01, Seed: seed}
 }
 
-// PointReport is one configuration's measured outcome.
+// PointReport is one configuration's measured outcome. Under
+// Spec.ModelTrue nothing is metered: MeasuredEnergyJ equals TrueEnergyJ,
+// and HalfWidthJ and Runs are zero.
 type PointReport struct {
 	Config device.Config
 	// TrueSeconds and TrueEnergyJ are the model's ground truth.
@@ -232,25 +245,25 @@ func cachedPoint(ctx context.Context, dev device.Device, w device.Workload, c de
 	return p, err
 }
 
-// measurePoint runs the paper's statistical loop for one configuration:
-// the per-config unit of work the pool fans out.
+// measurePoint runs the paper's statistical loop for one configuration
+// (or, under spec.ModelTrue, just the device run): the per-config unit
+// of work the pool fans out.
 func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
 	out, err := dev.Run(ctx, w, c)
 	if err != nil {
 		return PointReport{}, err
 	}
+	p := PointReport{Config: c, TrueSeconds: out.TrueSeconds, TrueEnergyJ: out.TrueEnergyJ}
+	if spec.ModelTrue {
+		p.MeasuredEnergyJ = out.TrueEnergyJ
+		return p, nil
+	}
 	meas, err := meterLoop(dev, out, c, spec, spec.Seed)
 	if err != nil {
 		return PointReport{}, fmt.Errorf("campaign: config %v: %w", c, err)
 	}
-	return PointReport{
-		Config:          c,
-		TrueSeconds:     out.TrueSeconds,
-		TrueEnergyJ:     out.TrueEnergyJ,
-		MeasuredEnergyJ: meas.Mean,
-		HalfWidthJ:      meas.HalfWidth,
-		Runs:            meas.Runs,
-	}, nil
+	p.MeasuredEnergyJ, p.HalfWidthJ, p.Runs = meas.Mean, meas.HalfWidth, meas.Runs
+	return p, nil
 }
 
 // meterPool recycles meters across points: a reset meter keeps its

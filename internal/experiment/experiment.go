@@ -25,9 +25,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the reproducible defaults.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Table is one rendered result artifact (a paper table, or one figure's
 // underlying series).
 type Table struct {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 
+	"energyprop/internal/campaign"
 	"energyprop/internal/device"
 	"energyprop/internal/parindex"
 )
@@ -59,14 +60,9 @@ func schedFronts(name string, sizes []int, products int) (device.Device, *parind
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, c := range configs {
-			out, err := dev.Run(context.Background(), w, c)
-			if err != nil {
-				return nil, nil, err
-			}
-			idx.Insert(schedKey(name, n, products), parindex.Entry{
-				Config: c.Key(), Label: c.String(), Time: out.TrueSeconds, Energy: out.TrueEnergyJ,
-			})
+		sink := campaign.NewIndexSink(idx, name, w)
+		if err := campaign.Stream(context.Background(), dev, w, configs, campaign.Spec{ModelTrue: true}, sink); err != nil {
+			return nil, nil, err
 		}
 	}
 	return dev, idx, nil

@@ -131,7 +131,7 @@ type Stats struct {
 
 // Coordinator is the fleet control plane: it owns the virtual clock,
 // the simulated nodes, and the shard queue, and schedules one campaign
-// at a time (Execute/Map serialize on an internal mutex). Each run
+// at a time (runs through Each serialize on an internal mutex). Each run
 // starts from a cold fleet — clock at zero, fresh devices, empty event
 // log — so a run's behaviour is a pure function of (options, chaos
 // seed, item count).
@@ -195,30 +195,6 @@ func (c *Coordinator) Nodes() []NodeStatus {
 		out[i] = NodeStatus{Name: n.name, Cordoned: n.cordoned, Busy: n.busy(), Strikes: n.strikes}
 	}
 	return out
-}
-
-// Map runs fn over n items through the coordinator's deterministic
-// shard scheduler and returns the results in item order: the fleet
-// analog of parallel.Map. fn receives the hosting node's device and
-// must be a pure function of the item (not of the node or of wall
-// time) — the coordinator may run an item on any node, and a preempted
-// shard's items run again elsewhere. fn is never invoked for a
-// preempted dispatch (the loss is simulated before execution), so each
-// surviving item executes exactly once.
-func Map[T any](ctx context.Context, c *Coordinator, n int, fn func(ctx context.Context, dev device.Device, item int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := c.run(ctx, n, func(ctx context.Context, dev device.Device, item int) error {
-		v, err := fn(ctx, dev, item)
-		if err != nil {
-			return err
-		}
-		out[item] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // queued is one shard waiting for a node.

@@ -8,12 +8,16 @@ import (
 )
 
 // Each runs fn over n items through the coordinator's deterministic
-// shard scheduler — like Map — but streams each result to commit in
-// strict item order instead of materializing a []T: the fleet analog
-// of parallel.Each. Results that complete out of item order (shards
-// run concurrently and may be retried elsewhere after preemption) are
-// buffered until their predecessors land; whichever node-worker
-// completes the blocking item drains the contiguous prefix.
+// shard scheduler and streams each result to commit in strict item
+// order: the fleet analog of parallel.Each. fn receives the hosting
+// node's device and must be a pure function of the item (not of the
+// node or of wall time) — the coordinator may run an item on any node,
+// and a preempted shard's items run again elsewhere. fn is never
+// invoked for a preempted dispatch (the loss is simulated before
+// execution), so each item executes exactly once. Results that
+// complete out of item order (shards run concurrently) are buffered
+// until their predecessors land; whichever node-worker completes the
+// blocking item drains the contiguous prefix.
 //
 // commit is called sequentially, with items 0, 1, 2, ... in order, at
 // most once per item, and never again after it returns an error; a

@@ -38,6 +38,21 @@ func newCoord(t testing.TB, opts Options, factory DeviceFactory) *Coordinator {
 	return c
 }
 
+// each runs fn over n items through Each, committing the results into
+// a slice in item order; a commit out of item order fails the test.
+func each(t testing.TB, ctx context.Context, c *Coordinator, n int, fn func(ctx context.Context, dev device.Device, item int) (int, error)) ([]int, error) {
+	t.Helper()
+	out := make([]int, 0, n)
+	err := Each(ctx, c, n, fn, func(i, v int) error {
+		if i != len(out) {
+			t.Errorf("item %d committed after %d commits", i, len(out))
+		}
+		out = append(out, v)
+		return nil
+	})
+	return out, err
+}
+
 func TestClockAdvances(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {
@@ -152,7 +167,7 @@ func TestShardItems(t *testing.T) {
 
 func TestMapCalmFleet(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 3}, registryFactory())
-	out, err := Map(context.Background(), c, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
+	out, err := each(t, context.Background(), c, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
 		if dev == nil || dev.Name() != "p100" {
 			t.Error("fn did not receive the hosted device")
 		}
@@ -160,6 +175,9 @@ func TestMapCalmFleet(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(out) != 7 {
+		t.Fatalf("%d results for 7 items", len(out))
 	}
 	for i, v := range out {
 		if v != i*i {
@@ -177,12 +195,12 @@ func TestMapCalmFleet(t *testing.T) {
 
 func TestMapZeroItems(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	out, err := Map(context.Background(), c, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
+	out, err := each(t, context.Background(), c, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
 		t.Error("fn called for an empty item set")
 		return 0, nil
 	})
 	if err != nil || len(out) != 0 {
-		t.Errorf("empty map: %v, %v", out, err)
+		t.Errorf("empty run: %v, %v", out, err)
 	}
 }
 
@@ -200,7 +218,7 @@ func TestEachItemExecutesExactlyOnce(t *testing.T) {
 	c := newCoord(t, opts, registryFactory())
 	var mu sync.Mutex
 	runs := make([]int, n)
-	if _, err := Map(context.Background(), c, n, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, n, func(_ context.Context, _ device.Device, i int) (int, error) {
 		mu.Lock()
 		runs[i]++
 		mu.Unlock()
@@ -239,7 +257,7 @@ func TestCordonAndRemediate(t *testing.T) {
 		Chaos:       Chaos{Seed: 3, Flaky: 0.45},
 	}
 	c := newCoord(t, opts, registryFactory())
-	if _, err := Map(context.Background(), c, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -275,7 +293,7 @@ func TestStrikeCordon(t *testing.T) {
 		Chaos:      Chaos{Seed: 5, Preempt: 0.5},
 	}
 	c := newCoord(t, opts, registryFactory())
-	if _, err := Map(context.Background(), c, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -309,7 +327,7 @@ func TestStallAborts(t *testing.T) {
 		Chaos:       Chaos{Seed: 1, Flaky: 1},
 	}
 	c := newCoord(t, opts, registryFactory())
-	_, err := Map(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	_, err := each(t, context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
@@ -320,7 +338,7 @@ func TestStallAborts(t *testing.T) {
 func TestMapPropagatesFnError(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
 	boom := errors.New("boom")
-	if _, err := Map(context.Background(), c, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -334,7 +352,7 @@ func TestMapHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	if _, err := Map(ctx, c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, ctx, c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -346,7 +364,7 @@ func TestFactoryErrorSurfaces(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, func(node string) (device.Device, error) {
 		return nil, bad
 	})
-	if _, err := Map(context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want factory error", err)
@@ -372,7 +390,7 @@ func TestRemediationReopensDevice(t *testing.T) {
 		Chaos:       Chaos{Seed: 3, Flaky: 0.5},
 	}
 	c := newCoord(t, opts, factory)
-	if _, err := Map(context.Background(), c, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(t, context.Background(), c, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -400,7 +418,7 @@ func TestEventLogReplaysFromSeed(t *testing.T) {
 			Chaos:       Chaos{Seed: seed, Preempt: 0.3, Flaky: 0.25, Slow: 0.3},
 		}
 		c := newCoord(t, opts, registryFactory())
-		if _, err := Map(context.Background(), c, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
+		if _, err := each(t, context.Background(), c, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)

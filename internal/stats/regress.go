@@ -5,74 +5,6 @@ import (
 	"math"
 )
 
-// LinearFit is the result of a simple ordinary-least-squares regression
-// y = Intercept + Slope·x.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	// R2 is the coefficient of determination.
-	R2 float64
-	// MaxRelResidual is max_i |y_i - ŷ_i| / mean(|y|): the strong-EP
-	// analyzer's measure of how far the data strays from linearity.
-	MaxRelResidual float64
-	// N is the number of points fitted.
-	N int
-}
-
-// LinearRegression fits y = a + b·x by ordinary least squares.
-func LinearRegression(xs, ys []float64) (*LinearFit, error) {
-	if len(xs) != len(ys) {
-		return nil, errors.New("stats: x and y lengths differ")
-	}
-	n := len(xs)
-	if n < 2 {
-		return nil, errors.New("stats: regression needs at least 2 points")
-	}
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return nil, errors.New("stats: regression x values are all identical")
-	}
-	slope := sxy / sxx
-	intercept := my - slope*mx
-	var ssRes, ssTot, meanAbsY float64
-	maxRes := 0.0
-	for i := 0; i < n; i++ {
-		pred := intercept + slope*xs[i]
-		r := ys[i] - pred
-		ssRes += r * r
-		d := ys[i] - my
-		ssTot += d * d
-		meanAbsY += math.Abs(ys[i])
-		if math.Abs(r) > maxRes {
-			maxRes = math.Abs(r)
-		}
-	}
-	meanAbsY /= float64(n)
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	maxRel := 0.0
-	if meanAbsY > 0 {
-		maxRel = maxRes / meanAbsY
-	}
-	return &LinearFit{Slope: slope, Intercept: intercept, R2: r2, MaxRelResidual: maxRel, N: n}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f *LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // PearsonCorrelation returns the Pearson correlation coefficient of the two
 // series. It is used to select model variables with "high positive
 // correlation with dynamic energy".

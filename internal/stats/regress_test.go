@@ -1,67 +1,10 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestLinearRegressionExactLine(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 + 2*x
-	}
-	fit, err := LinearRegression(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(fit.Slope, 2, 1e-12) || !almostEqual(fit.Intercept, 3, 1e-12) {
-		t.Errorf("fit = %+v, want slope 2 intercept 3", fit)
-	}
-	if !almostEqual(fit.R2, 1, 1e-12) {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-	if fit.MaxRelResidual > 1e-12 {
-		t.Errorf("MaxRelResidual = %v, want ~0", fit.MaxRelResidual)
-	}
-	if got := fit.Predict(10); !almostEqual(got, 23, 1e-12) {
-		t.Errorf("Predict(10) = %v, want 23", got)
-	}
-}
-
-func TestLinearRegressionNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := make([]float64, 500)
-	ys := make([]float64, 500)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = 10 + 0.5*xs[i] + rng.NormFloat64()*3
-	}
-	fit, err := LinearRegression(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-0.5) > 0.01 {
-		t.Errorf("Slope = %v, want ~0.5", fit.Slope)
-	}
-	if fit.R2 < 0.95 {
-		t.Errorf("R2 = %v, want > 0.95", fit.R2)
-	}
-}
-
-func TestLinearRegressionErrors(t *testing.T) {
-	if _, err := LinearRegression([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point: want error")
-	}
-	if _, err := LinearRegression([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-	if _, err := LinearRegression([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("constant x: want error")
-	}
-}
 
 func TestPearsonCorrelationKnown(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}

@@ -3,38 +3,13 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Robust summaries for disturbance-contaminated measurements: the paper's
 // methodology takes "several precautions ... to eliminate the potential
 // disturbance due to components such as SSDs and fans"; when raw samples
-// cannot be cleaned at the source, a trimmed mean or MAD-based outlier
-// rejection recovers the clean estimate.
-
-// TrimmedMean returns the mean after discarding the `frac` fraction of
-// smallest and largest observations (frac in [0, 0.5)). frac = 0 is the
-// plain mean.
-func TrimmedMean(xs []float64, frac float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: empty input")
-	}
-	if frac < 0 || frac >= 0.5 {
-		return 0, errors.New("stats: trim fraction must be in [0, 0.5)")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	k := int(float64(len(sorted)) * frac)
-	trimmed := sorted[k : len(sorted)-k]
-	if len(trimmed) == 0 {
-		return 0, errors.New("stats: trim removed every observation")
-	}
-	sum := 0.0
-	for _, x := range trimmed {
-		sum += x
-	}
-	return sum / float64(len(trimmed)), nil
-}
+// cannot be cleaned at the source, MAD-based outlier rejection recovers
+// the clean estimate.
 
 // MAD returns the median absolute deviation (scaled by 1.4826 so it
 // estimates the standard deviation of normal data).

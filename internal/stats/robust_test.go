@@ -6,36 +6,6 @@ import (
 	"testing"
 )
 
-func TestTrimmedMeanBasics(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	plain, err := TrimmedMean(xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(plain, 22, 1e-12) {
-		t.Errorf("plain mean = %v, want 22", plain)
-	}
-	trimmed, err := TrimmedMean(xs, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(trimmed, 3, 1e-12) {
-		t.Errorf("20%% trimmed mean = %v, want 3 (drops 1 and 100)", trimmed)
-	}
-}
-
-func TestTrimmedMeanValidation(t *testing.T) {
-	if _, err := TrimmedMean(nil, 0.1); err == nil {
-		t.Error("empty: want error")
-	}
-	if _, err := TrimmedMean([]float64{1}, 0.5); err == nil {
-		t.Error("frac=0.5: want error")
-	}
-	if _, err := TrimmedMean([]float64{1}, -0.1); err == nil {
-		t.Error("negative frac: want error")
-	}
-}
-
 func TestMAD(t *testing.T) {
 	// Normal data: MAD estimates the standard deviation.
 	rng := rand.New(rand.NewSource(4))
