@@ -271,3 +271,23 @@ func TestChaosRegressionSeeds(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFaultedSweepCold is a cold haswell campaign under the chaos
+// harness's fault plan: every attempt draws its fault class from a
+// generator seeded per (configuration, attempt), so the cost of those
+// draws shows beside the measurement they guard.
+func BenchmarkFaultedSweepCold(b *testing.B) {
+	inner := openDev(b, "haswell")
+	w := device.Workload{N: 1024, Products: 1}
+	plan := fault.Plan{Seed: 97, Transient: 0.2, Drop: 0.08, Outlier: 0.07}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		injector, err := fault.Wrap(inner, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := runAll(injector, w, chaosSpec(int64(i), 1, nil)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"energyprop/internal/cpusim"
 	"energyprop/internal/dense"
@@ -52,7 +53,7 @@ type CPUPoint struct {
 
 // Key implements Config, e.g. "contiguous/p=2/t=12".
 func (p CPUPoint) Key() string {
-	return fmt.Sprintf("%s/p=%d/t=%d", p.C.Partition, p.C.Groups, p.C.ThreadsPerGroup)
+	return p.C.Partition.String() + "/p=" + strconv.Itoa(p.C.Groups) + "/t=" + strconv.Itoa(p.C.ThreadsPerGroup)
 }
 
 // String implements Config with the decomposition notation.

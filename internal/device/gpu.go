@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"energyprop/internal/gpusim"
 )
@@ -65,7 +66,7 @@ type GPUPoint struct {
 
 // Key implements Config, e.g. "bs=24/g=1/r=8".
 func (p GPUPoint) Key() string {
-	return fmt.Sprintf("bs=%d/g=%d/r=%d", p.C.BS, p.C.G, p.C.R)
+	return "bs=" + strconv.Itoa(p.C.BS) + "/g=" + strconv.Itoa(p.C.G) + "/r=" + strconv.Itoa(p.C.R)
 }
 
 // String implements Config with the paper's notation.
@@ -86,10 +87,10 @@ type SpMVPoint struct {
 }
 
 // Key implements Config, e.g. "lanes=8".
-func (p SpMVPoint) Key() string { return fmt.Sprintf("lanes=%d", p.Lanes) }
+func (p SpMVPoint) Key() string { return "lanes=" + strconv.Itoa(p.Lanes) }
 
 // String implements Config.
-func (p SpMVPoint) String() string { return fmt.Sprintf("(lanes=%d)", p.Lanes) }
+func (p SpMVPoint) String() string { return "(" + p.Key() + ")" }
 
 // StencilPoint is one stencil-family configuration: the shared-memory
 // tile edge.
@@ -98,10 +99,10 @@ type StencilPoint struct {
 }
 
 // Key implements Config, e.g. "tile=16".
-func (p StencilPoint) Key() string { return fmt.Sprintf("tile=%d", p.Tile) }
+func (p StencilPoint) Key() string { return "tile=" + strconv.Itoa(p.Tile) }
 
 // String implements Config.
-func (p StencilPoint) String() string { return fmt.Sprintf("(tile=%d)", p.Tile) }
+func (p StencilPoint) String() string { return "(" + p.Key() + ")" }
 
 // CompoundPoint is the single configuration of the compound family: one
 // SpMV at the canonical lane count followed by one stencil sweep at the

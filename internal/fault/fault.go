@@ -42,12 +42,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
 	"energyprop/internal/device"
 	"energyprop/internal/meter"
+	"energyprop/internal/randsrc"
 )
 
 // ErrTransient marks an injected transient device failure. Callers
@@ -214,7 +214,8 @@ const (
 // documented order (class, window position, latency fraction) so every
 // decision is reproducible from the attempt seed alone.
 func (f *Device) draw(key string, attempt int) (class int, windowFrac float64, delay time.Duration) {
-	rng := rand.New(rand.NewSource(attemptSeed(f.plan.Seed, key, attempt)))
+	rng := randsrc.Get(attemptSeed(f.plan.Seed, key, attempt))
+	defer randsrc.Put(rng)
 	u := rng.Float64()
 	switch {
 	case u < f.plan.Transient:

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
+
+	"energyprop/internal/randsrc"
 )
 
 // Chaos is the fleet's deterministic node-failure schedule — the
@@ -101,14 +102,21 @@ func drawSeed(seed int64, kind, identity string, counter int64) int64 {
 	return int64(h.Sum64())
 }
 
+// drawFloat returns the first Float64 of the generator seeded with seed;
+// each chaos decision is one such draw.
+func drawFloat(seed int64) float64 {
+	rng := randsrc.Get(seed)
+	defer randsrc.Put(rng)
+	return rng.Float64()
+}
+
 // healthOK reports one tick's health verdict for a node: false means
 // the check failed. A pure function of (seed, node, tick).
 func (c Chaos) healthOK(node string, t Tick) bool {
 	if c.Flaky <= 0 {
 		return true
 	}
-	rng := rand.New(rand.NewSource(drawSeed(c.Seed, "health", node, int64(t))))
-	return rng.Float64() >= c.Flaky
+	return drawFloat(drawSeed(c.Seed, "health", node, int64(t))) >= c.Flaky
 }
 
 // preempted reports whether a shard's k-th dispatch is lost mid-flight.
@@ -119,8 +127,7 @@ func (c Chaos) preempted(shard, attempt int) bool {
 	if c.Preempt <= 0 {
 		return false
 	}
-	rng := rand.New(rand.NewSource(drawSeed(c.Seed, "preempt", strconv.Itoa(shard), int64(attempt))))
-	return rng.Float64() < c.Preempt
+	return drawFloat(drawSeed(c.Seed, "preempt", strconv.Itoa(shard), int64(attempt))) < c.Preempt
 }
 
 // slowExtra returns the extra virtual ticks a dispatch runs slow by
@@ -130,8 +137,7 @@ func (c Chaos) slowExtra(node string, shard, attempt int) Tick {
 	if c.Slow <= 0 {
 		return 0
 	}
-	rng := rand.New(rand.NewSource(drawSeed(c.Seed, "slow", node+"/"+strconv.Itoa(shard), int64(attempt))))
-	if rng.Float64() < c.Slow {
+	if drawFloat(drawSeed(c.Seed, "slow", node+"/"+strconv.Itoa(shard), int64(attempt))) < c.Slow {
 		return c.slowTicks()
 	}
 	return 0

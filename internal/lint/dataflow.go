@@ -19,7 +19,8 @@ import (
 //     blessed — optimistic, but a raw-seeded call site is still caught
 //     at that site);
 //   - backward sink flow: starting from the arguments of
-//     rand.NewSource / rand.NewPCG, sink flow propagates backward
+//     rand.NewSource / rand.NewPCG and of the math/rand and randsrc
+//     Seed methods, sink flow propagates backward
 //     through assignments and call boundaries, stopping at blessing
 //     boundaries (device.ConfigSeed and blessed helpers). A seed-named
 //     parameter with sink flow is a "seed conduit": its call sites are
@@ -244,20 +245,33 @@ func (st *seedTaint) markSinkIdents(pkg *Package, expr ast.Expr, changed *bool) 
 	})
 }
 
-// randSeedSink returns the rand constructor name when the call is
-// rand.NewSource or rand.NewPCG (either math/rand generation), or
-// "Seed" for a math/rand Seed call: reseeding a generator in place
-// (e.g. (*rand.Rand).Seed on a pooled meter) fixes its sequence exactly
-// as constructing it does.
+// randsrcPkgPath is the in-repo generator package: its Source runs
+// math/rand's algorithm, so its Seed fixes a sequence just as
+// (*rand.Rand).Seed does.
+const randsrcPkgPath = "energyprop/internal/randsrc"
+
+// randSeedSink returns the sink's display name when the call fixes a
+// generator's sequence: rand.NewSource or rand.NewPCG (either math/rand
+// generation), a math/rand Seed call ("rand.Seed": reseeding a generator
+// in place, e.g. (*rand.Rand).Seed on a pooled meter, fixes its sequence
+// exactly as constructing it does), or the Seed method of randsrc's
+// Source ("randsrc.Seed"), which does the same without going through a
+// rand.Rand.
 func randSeedSink(pkg *Package, call *ast.CallExpr) (string, bool) {
 	for _, path := range []string{"math/rand", "math/rand/v2"} {
 		if name, ok := pkgCall(pkg.Info, call, path); ok && seedSources[name] {
-			return name, true
+			return "rand." + name, true
 		}
 	}
-	if fn := staticCallee(pkg, call); fn != nil && fn.Name() == "Seed" &&
-		fn.Pkg() != nil && fn.Pkg().Path() == "math/rand" {
-		return "Seed", true
+	fn := staticCallee(pkg, call)
+	if fn == nil || fn.Name() != "Seed" || fn.Pkg() == nil {
+		return "", false
+	}
+	switch fn.Pkg().Path() {
+	case "math/rand":
+		return "rand.Seed", true
+	case randsrcPkgPath:
+		return "randsrc.Seed", true
 	}
 	return "", false
 }

@@ -21,6 +21,7 @@ var determScoped = map[string]bool{
 	"energyprop/internal/fault":      true,
 	"energyprop/internal/fleet":      true,
 	"energyprop/internal/policy":     true,
+	"energyprop/internal/randsrc":    true,
 	"energyprop/internal/workload":   true,
 }
 

@@ -22,6 +22,7 @@ var seedFlowScoped = map[string]bool{
 	"energyprop/internal/fault":    true,
 	"energyprop/internal/fleet":    true,
 	"energyprop/internal/policy":   true,
+	"energyprop/internal/randsrc":  true,
 }
 
 // seedFlowStrict is the subset of scoped packages where device.ConfigSeed
@@ -29,7 +30,8 @@ var seedFlowScoped = map[string]bool{
 // device abstraction, so any generator seed they hand off must carry
 // taint from the hashed (seed, config) identity. Meter, device, fault,
 // and fleet stay on the lenient rule — they are the layers that *receive*
-// an already-derived seed value.
+// an already-derived seed value, as does randsrc, the generator they
+// seed.
 var seedFlowStrict = map[string]bool{
 	"energyprop/internal/campaign": true,
 	"energyprop/internal/service":  true,
@@ -107,7 +109,7 @@ func (SeedFlow) CheckProgram(prog *Program) []Finding {
 // a discovered conduit function.
 func seedSiteArgs(pkg *Package, call *ast.CallExpr, st *seedTaint) (string, []ast.Expr) {
 	if name, ok := randSeedSink(pkg, call); ok {
-		return "rand." + name, call.Args
+		return name, call.Args
 	}
 	callee := staticCallee(pkg, call)
 	idxs := st.conduits[callee]

@@ -294,6 +294,63 @@ func good(m *meter.Meter, idle float64, seed int64) {
 		})
 }
 
+func TestSeedFlowTreatsRandsrcSeedAsSink(t *testing.T) {
+	// A meter whose Reset seeds its randsrc.Source directly, with no
+	// rand.Rand.Seed or rand constructor anywhere on the path: the
+	// source's Seed is a sink in its own right, so Reset and NewMeter
+	// stay discovered conduits and their call sites are still checked.
+	src := `package meter
+
+import (
+	"math/rand"
+
+	"energyprop/internal/randsrc"
+)
+
+type Meter struct {
+	src *randsrc.Source
+	rng *rand.Rand
+}
+
+func (m *Meter) Reset(idle float64, seed int64) {
+	if m.src == nil {
+		m.src = new(randsrc.Source)
+		m.rng = rand.New(m.src)
+	}
+	m.src.Seed(seed)
+}
+
+func NewMeter(idle float64, seed int64) *Meter {
+	m := new(Meter)
+	m.Reset(idle, seed)
+	return m
+}
+
+func badFixed(m *Meter) { m.Reset(80, 42) }
+
+func badNew() *Meter { return NewMeter(80, 7) }
+
+func badIndex(ms []*Meter) {
+	for i, m := range ms {
+		m.Reset(80, int64(i))
+	}
+}
+
+func badDirect(s *randsrc.Source) { s.Seed(3) }
+
+func good(m *Meter, seed int64) *Meter {
+	m.Reset(80, seed)
+	return NewMeter(80, seed)
+}
+`
+	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/meter", src, []want{
+		{line: 28, rule: "seedflow", substr: "seed for meter.Reset is 42"},
+		{line: 30, rule: "seedflow", substr: "seed for meter.NewMeter is 7"},
+		{line: 34, rule: "seedflow", substr: `seed for meter.Reset derives from loop variable "i"`},
+		{line: 38, rule: "seedflow", substr: "seed for randsrc.Seed is 3"},
+	})
+}
+
 func TestSeedFlowIgnoresOutOfScopePackages(t *testing.T) {
 	// stats test helpers and examples may seed however they like.
 	src := `package stats

@@ -38,3 +38,28 @@ func TestRecordTraceSurvivesNextMeasurement(t *testing.T) {
 		}
 	}
 }
+
+// TestResetReusedMeterAllocs: resetting a meter that already owns a
+// generator reseeds it in place and allocates nothing.
+func TestResetReusedMeterAllocs(t *testing.T) {
+	m := NewMeter(80, 1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		m.Reset(80, seed)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset on a reused meter allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkMeterReset is the per-point constant cost of a pooled meter:
+// restoring the defaults and reseeding the generator.
+func BenchmarkMeterReset(b *testing.B) {
+	m := NewMeter(80, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset(80, int64(i))
+	}
+}

@@ -125,12 +125,12 @@ func fmtParam(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // only in slack measure different energies, so they must never share a
 // memo-cache slot or a meter seed.
 func (p Point) Key() string {
-	return fmt.Sprintf("pol=%s/s=%s/f=%s/%s", p.Strategy, fmtParam(p.Slack), fmtParam(p.Floor), p.Inner.Key())
+	return "pol=" + p.Strategy + "/s=" + fmtParam(p.Slack) + "/f=" + fmtParam(p.Floor) + "/" + p.Inner.Key()
 }
 
 // String implements device.Config.
 func (p Point) String() string {
-	return fmt.Sprintf("(%s s=%s f=%s %s)", p.Strategy, fmtParam(p.Slack), fmtParam(p.Floor), p.Inner.String())
+	return "(" + p.Strategy + " s=" + fmtParam(p.Slack) + " f=" + fmtParam(p.Floor) + " " + p.Inner.String() + ")"
 }
 
 // Validate checks the point's policy parameters.

@@ -2,11 +2,13 @@ package policy
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"energyprop/internal/device"
+	"energyprop/internal/gpusim"
 	"energyprop/internal/meter"
 )
 
@@ -46,6 +48,28 @@ func TestOptionsDefaultsAndValidation(t *testing.T) {
 	}
 	if _, err := Wrap(nil, Options{}); err == nil {
 		t.Error("nil device must fail")
+	}
+}
+
+// TestPointKeyMatchesFormatted pins the concatenated Key and String to
+// the fmt verbs they replaced, over every strategy, awkward floats and
+// both a flat and a composite inner config.
+func TestPointKeyMatchesFormatted(t *testing.T) {
+	inners := []device.Config{device.FFTPoint{}, device.GPUPoint{C: gpusim.MatMulConfig{BS: 24, G: 1, R: 8}}}
+	params := []float64{0, 1, 1.5, 0.3, 1e-7, 2.0000000001, 123456789, math.Inf(1)}
+	for _, s := range Strategies() {
+		for _, slack := range params {
+			for _, floor := range params {
+				for _, in := range inners {
+					p := Point{Strategy: s, Slack: slack, Floor: floor, Inner: in}
+					key := fmt.Sprintf("pol=%s/s=%s/f=%s/%s", s, fmtParam(slack), fmtParam(floor), in.Key())
+					str := fmt.Sprintf("(%s s=%s f=%s %s)", s, fmtParam(slack), fmtParam(floor), in.String())
+					if p.Key() != key || p.String() != str {
+						t.Fatalf("Key, String = %q, %q; want %q, %q", p.Key(), p.String(), key, str)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -75,3 +75,33 @@ func TestMeasureLongLoopAllocsO1(t *testing.T) {
 		t.Errorf("500-run Measure allocates %.1f objects, want <= 40 (independent of run count)", allocs)
 	}
 }
+
+// BenchmarkMeasureConverged is the statistics share of one measured
+// point: the paper's loop (DefaultMeasureSpec) over observations that
+// converge at the third run.
+func BenchmarkMeasureConverged(b *testing.B) {
+	spec := DefaultMeasureSpec()
+	obs := [3]float64{100, 100.2, 99.9}
+	i := 0
+	observe := func() (float64, error) {
+		x := obs[i%len(obs)]
+		i++
+		return x, nil
+	}
+	run := func() {
+		i = 0
+		m, err := Measure(spec, observe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.Runs != len(obs) {
+			b.Fatalf("converged after %d runs, want %d", m.Runs, len(obs))
+		}
+	}
+	run() // warm the pooled loop state and the t* table
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		run()
+	}
+}

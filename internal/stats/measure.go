@@ -40,11 +40,15 @@ type MeasureSpec struct {
 	RejectOutliersK float64
 }
 
+// defaultConfidence is the paper's confidence level, the one level the
+// t* table serves.
+const defaultConfidence = 0.95
+
 // DefaultMeasureSpec returns the paper's settings: 95% confidence, 2.5%
 // precision, between 3 and 1000 runs, with the normality check enabled.
 func DefaultMeasureSpec() MeasureSpec {
 	return MeasureSpec{
-		Confidence:     0.95,
+		Confidence:     defaultConfidence,
 		Precision:      0.025,
 		MinRuns:        3,
 		MaxRuns:        1000,
@@ -233,12 +237,16 @@ func Measure(spec MeasureSpec, observe func() (float64, error)) (*Measurement, e
 			return nil, fmt.Errorf("stats: observation %d failed: %w", run+1, err)
 		}
 		s, rejected := st.step(&spec, x)
-		if s.N() >= spec.MinRuns && s.WithinPrecision(spec.Confidence, spec.Precision) {
-			return finishMeasurement(spec, s, rejected), nil
+		if s.N() < spec.MinRuns {
+			continue
+		}
+		if hw, ok := s.WithinPrecision(spec.Confidence, spec.Precision); ok {
+			return finishMeasurement(spec, s, rejected, hw, nil), nil
 		}
 	}
 	s, rejected := st.effective(&spec)
-	return finishMeasurement(spec, s, rejected), fmt.Errorf("stats: %d runs: %w", st.raw.N(), ErrNoConvergence)
+	hw, err := s.ConfidenceHalfWidth(spec.Confidence)
+	return finishMeasurement(spec, s, rejected, hw, err), fmt.Errorf("stats: %d runs: %w", st.raw.N(), ErrNoConvergence)
 }
 
 func validateSpec(spec *MeasureSpec) error {
@@ -260,13 +268,12 @@ func validateSpec(spec *MeasureSpec) error {
 	return nil
 }
 
-// finishMeasurement assembles the Measurement from the effective sample;
-// it is total (a half-width that cannot be computed is reported as 0).
-// The effective sample aliases pooled loop state, so the retained sample
-// is a fresh copy.
-func finishMeasurement(spec MeasureSpec, s *Sample, rejected int) *Measurement {
-	hw, err := s.ConfidenceHalfWidth(spec.Confidence)
-	if err != nil {
+// finishMeasurement assembles the Measurement from the effective sample
+// and the result of its ConfidenceHalfWidth; it is total (a half-width
+// that cannot be computed is reported as 0). The effective sample aliases
+// pooled loop state, so the retained sample is a fresh copy.
+func finishMeasurement(spec MeasureSpec, s *Sample, rejected int, hw float64, hwErr error) *Measurement {
+	if hwErr != nil {
 		hw = 0
 	}
 	m := &Measurement{

@@ -141,13 +141,14 @@ func (s *Sample) Median() float64 {
 
 // ConfidenceHalfWidth returns the half-width of the two-sided Student-t
 // confidence interval for the mean at the given confidence level
-// (e.g. 0.95). It requires at least two observations.
+// (e.g. 0.95). It requires at least two observations. The critical value
+// comes from the package's t* table, bit-identical to StudentTQuantile.
 func (s *Sample) ConfidenceHalfWidth(confidence float64) (float64, error) {
 	n := len(s.xs)
 	if n < 2 {
 		return 0, errors.New("stats: confidence interval requires at least 2 observations")
 	}
-	t, err := StudentTQuantile(confidence, float64(n-1))
+	t, err := tCrit.critical(confidence, n-1)
 	if err != nil {
 		return 0, err
 	}
@@ -155,20 +156,23 @@ func (s *Sample) ConfidenceHalfWidth(confidence float64) (float64, error) {
 }
 
 // WithinPrecision reports whether the sample mean has converged: the
-// half-width of the confidence interval at the given level is at most
+// half-width hw of the confidence interval at the given level is at most
 // precision × |mean| (the paper uses confidence 0.95, precision 0.025).
-// A sample with fewer than two observations has not converged.
-func (s *Sample) WithinPrecision(confidence, precision float64) bool {
+// It also returns hw, so the measurement loop reports the half-width it
+// judged without computing it again. A sample with fewer than two
+// observations, or whose half-width cannot be computed, has not
+// converged and reports hw = 0.
+func (s *Sample) WithinPrecision(confidence, precision float64) (hw float64, ok bool) {
 	if len(s.xs) < 2 {
-		return false
+		return 0, false
 	}
 	hw, err := s.ConfidenceHalfWidth(confidence)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	m := math.Abs(s.Mean())
 	if m == 0 {
-		return hw == 0
+		return hw, hw == 0
 	}
-	return hw <= precision*m
+	return hw, hw <= precision*m
 }

@@ -45,7 +45,7 @@ func TestSampleEmptyAndSingleton(t *testing.T) {
 	if s.Variance() != 0 {
 		t.Error("singleton variance should be 0")
 	}
-	if s.WithinPrecision(0.95, 0.025) {
+	if _, ok := s.WithinPrecision(0.95, 0.025); ok {
 		t.Error("singleton should not be considered converged")
 	}
 }
@@ -97,12 +97,16 @@ func TestConfidenceHalfWidthKnown(t *testing.T) {
 func TestWithinPrecisionConvergence(t *testing.T) {
 	// A tight sample around 100 should converge at 2.5%.
 	s := NewSample(100, 100.5, 99.5, 100.2, 99.8)
-	if !s.WithinPrecision(0.95, 0.025) {
+	hw, ok := s.WithinPrecision(0.95, 0.025)
+	if !ok {
 		t.Error("tight sample should be within precision")
+	}
+	if want, err := s.ConfidenceHalfWidth(0.95); err != nil || math.Float64bits(hw) != math.Float64bits(want) {
+		t.Errorf("WithinPrecision half-width = %v, want ConfidenceHalfWidth's %v (%v)", hw, want, err)
 	}
 	// A wildly noisy sample should not.
 	n := NewSample(50, 150, 80, 120)
-	if n.WithinPrecision(0.95, 0.025) {
+	if _, ok := n.WithinPrecision(0.95, 0.025); ok {
 		t.Error("noisy sample should not be within precision")
 	}
 }
