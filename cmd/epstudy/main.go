@@ -296,7 +296,7 @@ func runDeviceStudy(plan fleet.Plan, w device.Workload, cf *cli.CampaignFlags, o
 			return nil
 		}
 		p := o.Report
-		row := []string{p.Config.String()}
+		row := []string{o.Label}
 		if pol != nil {
 			pt, ok := p.Config.(policy.Point)
 			if !ok {
@@ -306,7 +306,7 @@ func runDeviceStudy(plan fleet.Plan, w device.Workload, cf *cli.CampaignFlags, o
 		}
 		reports = append(reports, p)
 		totalRuns += p.Runs
-		row = append(row, p.Config.Key(),
+		row = append(row, o.Key,
 			fmt.Sprintf("%.4f", p.TrueSeconds),
 			fmt.Sprintf("%.1f", p.MeasuredEnergyJ),
 			fmt.Sprintf("%.2f", p.HalfWidthJ),

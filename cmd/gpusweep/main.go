@@ -183,8 +183,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			} else {
 				p := o.Report
 				out.Printf("%s,%.4f,%.2f,%.1f\n",
-					p.Config.Key(), p.TrueSeconds, p.TrueEnergyJ/p.TrueSeconds, p.TrueEnergyJ)
-				front = append(front, pareto.Point{Label: p.Config.String(), Time: p.TrueSeconds, Energy: p.TrueEnergyJ})
+					o.Key, p.TrueSeconds, p.TrueEnergyJ/p.TrueSeconds, p.TrueEnergyJ)
+				front = append(front, pareto.Point{Label: o.Label, Time: p.TrueSeconds, Energy: p.TrueEnergyJ})
 			}
 			if !withAttempts {
 				o.Report.Attempts = 0

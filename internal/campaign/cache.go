@@ -37,22 +37,33 @@ func NewPointCache(capacity int) *PointCache {
 // A model-true point is a function of the device run alone, so its key
 // digests only the device identity, workload and configuration key,
 // under a domain tag of its own.
+//
+// A campaign digests its points through one pointPrefix; pointKey is
+// that prefix applied to a single configuration.
 func pointKey(dev device.Device, w device.Workload, c device.Config, spec Spec) string {
+	return pointPrefix(dev, w, spec).Digest(c.Key())
+}
+
+// pointPrefix fixes every pointKey field but the configuration key:
+// those before it as a saved hash state, the spec fields after it as
+// encoded bytes. They are the same for every point of a campaign, so a
+// point's key costs one hash of its configuration key.
+func pointPrefix(dev device.Device, w device.Workload, spec Spec) memo.Prefix {
 	s := dev.Spec()
+	tag := "campaign-point/v1"
 	if spec.ModelTrue {
-		return memo.Digest(
-			"campaign-model-true/v1",
-			dev.Name(), dev.Kind(), s.CatalogName,
-			w.App, strconv.Itoa(w.N), strconv.Itoa(w.Products),
-			c.Key(),
-		)
+		tag = "campaign-model-true/v1"
 	}
-	m := spec.Measure
-	return memo.Digest(
-		"campaign-point/v1",
+	p := memo.NewPrefix(
+		tag,
 		dev.Name(), dev.Kind(), s.CatalogName,
 		w.App, strconv.Itoa(w.N), strconv.Itoa(w.Products),
-		c.Key(),
+	)
+	if spec.ModelTrue {
+		return p
+	}
+	m := spec.Measure
+	return p.WithTail(
 		strconv.FormatInt(spec.Seed, 10),
 		canonFloat(spec.NoiseFrac),
 		canonFloat(spec.SpikeProb),

@@ -8,23 +8,8 @@ import (
 	"time"
 
 	"energyprop/internal/device"
+	"energyprop/internal/parindex"
 )
-
-// recordBytes runs the workload's full campaign under the spec and
-// serializes the record, so byte-identity across cache settings is one
-// bytes.Equal.
-func recordBytes(t testing.TB, dev device.Device, w device.Workload, spec Spec) []byte {
-	t.Helper()
-	res, err := runAll(dev, w, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := res.Record()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return marshalRecord(t, rec)
-}
 
 // TestCachedCampaignByteIdentical is the cache's correctness bar: with
 // the cache off, cold, and warm, the serialized record must be
@@ -40,12 +25,12 @@ func TestCachedCampaignByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := openDev(t, tc.name)
-			uncached := recordBytes(t, dev, tc.w, DefaultSpec(31))
+			uncached := streamRecordBytes(t, dev, tc.w, DefaultSpec(31))
 
 			spec := DefaultSpec(31)
 			spec.Cache = NewPointCache(0)
-			cold := recordBytes(t, dev, tc.w, spec)
-			warm := recordBytes(t, dev, tc.w, spec)
+			cold := streamRecordBytes(t, dev, tc.w, spec)
+			warm := streamRecordBytes(t, dev, tc.w, spec)
 
 			if !bytes.Equal(uncached, cold) {
 				t.Errorf("uncached and cold-cache records differ:\nuncached: %s\ncold:     %s", uncached, cold)
@@ -71,11 +56,11 @@ func TestCacheKeySeparatesSeedsAndWorkloads(t *testing.T) {
 
 	spec1 := DefaultSpec(1)
 	spec1.Cache = cache
-	a := recordBytes(t, dev, w, spec1)
+	a := streamRecordBytes(t, dev, w, spec1)
 
 	spec2 := DefaultSpec(2)
 	spec2.Cache = cache
-	b := recordBytes(t, dev, w, spec2)
+	b := streamRecordBytes(t, dev, w, spec2)
 	if bytes.Equal(a, b) {
 		t.Fatal("seed 1 and seed 2 campaigns serialized identically; the cache aliased them")
 	}
@@ -251,4 +236,41 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWarmSweepStream is the warm /sweep path in process: a primed
+// P100 10240×8 sweep (110 points, every one a cache hit) streamed
+// serially through a compact RecordSink, an IndexSink and a
+// CountingSink, as the service's sweep handler fans it out. What it
+// allocates per op is the per-point identity and encoding cost, so
+// BENCH_BUDGET.json holds its allocs/op.
+func BenchmarkWarmSweepStream(b *testing.B) {
+	dev := openDev(b, "p100")
+	w := device.Workload{N: 10240, Products: 8}
+	configs, err := dev.Configs(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := DefaultSpec(1)
+	spec.Workers = 1
+	spec.Cache = NewPointCache(0)
+	x := parindex.NewIndex()
+	var body bytes.Buffer
+	sweep := func() {
+		body.Reset()
+		rs, err := NewRecordSink(&body, dev, w, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink := MultiSink{rs, NewIndexSink(x, dev.Name(), w), &CountingSink{}}
+		if err := Stream(context.Background(), dev, w, configs, spec, sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // prime the cache and the index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
 }

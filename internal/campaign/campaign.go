@@ -20,7 +20,6 @@ import (
 	"energyprop/internal/meter"
 	"energyprop/internal/parallel"
 	"energyprop/internal/stats"
-	"energyprop/internal/store"
 )
 
 // Spec configures a campaign.
@@ -196,6 +195,9 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 		progress: parallel.NewProgress(len(configs), spec.Progress),
 		sink:     sink,
 	}
+	if spec.Cache != nil {
+		job.keys = pointPrefix(dev, w, spec)
+	}
 	exec := spec.Executor
 	if exec == nil {
 		exec = LocalExecutor{}
@@ -209,18 +211,19 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 	return sink.Flush()
 }
 
-// retriedPoint measures one configuration under the spec's retry
-// policy: each attempt runs the full cachedPoint path (device run, fresh
-// meter, statistical loop), so a retry that succeeds reproduces the
-// fault-free measurement bit-for-bit — the meter seed depends only on
-// (spec.Seed, config), never on the attempt number. Backoff jitter is
-// seeded from the same point identity, keeping retry timing independent
-// of sweep order and worker count.
-func retriedPoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
+// retriedPoint measures one configuration, whose key and seed
+// (device.KeySeed(spec.Seed, key)) the caller built once, under the
+// spec's retry policy: each attempt runs the full cachedPoint path
+// (device run, fresh meter, statistical loop), so a retry that succeeds
+// reproduces the fault-free measurement bit-for-bit — the meter seed
+// depends only on (spec.Seed, config), never on the attempt number.
+// Backoff jitter is seeded from the same point identity, keeping retry
+// timing independent of sweep order and worker count.
+func (j *Job) retriedPoint(ctx context.Context, dev device.Device, c device.Config, key string, seed int64) (PointReport, error) {
 	var p PointReport
-	attempts, err := spec.Retry.Do(ctx, device.ConfigSeed(spec.Seed, c), func(int) error {
+	attempts, err := j.Spec.Retry.Do(ctx, seed, func(int) error {
 		var aerr error
-		p, aerr = cachedPoint(ctx, dev, w, c, spec)
+		p, aerr = j.cachedPoint(ctx, dev, c, key, seed)
 		return aerr
 	})
 	if err != nil {
@@ -231,24 +234,25 @@ func retriedPoint(ctx context.Context, dev device.Device, w device.Workload, c d
 }
 
 // cachedPoint measures one configuration through the spec's cache when
-// one is attached: a stored point is returned as-is (it is bit-identical
-// to a recomputation by construction), and concurrent requests for the
-// same point deduplicate to one measurement. Without a cache it is
-// exactly measurePoint.
-func cachedPoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
-	if spec.Cache == nil {
-		return measurePoint(ctx, dev, w, c, spec)
+// one is attached, under the job's key prefix applied to the
+// configuration key: a stored point is returned as-is (it is
+// bit-identical to a recomputation by construction), and concurrent
+// requests for the same point deduplicate to one measurement. Without
+// a cache it is exactly measurePoint.
+func (j *Job) cachedPoint(ctx context.Context, dev device.Device, c device.Config, key string, seed int64) (PointReport, error) {
+	if j.Spec.Cache == nil {
+		return measurePoint(ctx, dev, j.Workload, c, j.Spec, seed)
 	}
-	p, _, err := spec.Cache.Do(pointKey(dev, w, c, spec), func() (PointReport, error) {
-		return measurePoint(ctx, dev, w, c, spec)
+	p, _, err := j.Spec.Cache.Do(j.keys.Digest(key), func() (PointReport, error) {
+		return measurePoint(ctx, dev, j.Workload, c, j.Spec, seed)
 	})
 	return p, err
 }
 
 // measurePoint runs the paper's statistical loop for one configuration
 // (or, under spec.ModelTrue, just the device run): the per-config unit
-// of work the pool fans out.
-func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec) (PointReport, error) {
+// of work the pool fans out. seed is the configuration's meter seed.
+func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c device.Config, spec Spec, seed int64) (PointReport, error) {
 	out, err := dev.Run(ctx, w, c)
 	if err != nil {
 		return PointReport{}, err
@@ -258,7 +262,7 @@ func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c d
 		p.MeasuredEnergyJ = out.TrueEnergyJ
 		return p, nil
 	}
-	meas, err := meterLoop(dev, out, c, spec, spec.Seed)
+	meas, err := meterLoop(dev, out, spec, seed)
 	if err != nil {
 		return PointReport{}, fmt.Errorf("campaign: config %v: %w", c, err)
 	}
@@ -272,14 +276,14 @@ func measurePoint(ctx context.Context, dev device.Device, w device.Workload, c d
 var meterPool = sync.Pool{New: func() any { return new(meter.Meter) }}
 
 // meterLoop samples one model run's power profile with a fresh meter,
-// seeded from (seed, config), until the spec's statistical criterion
-// converges. The meter comes from meterPool, reset to exactly the state
-// meter.NewMeter would build, and is held by this call alone, so
-// concurrent points share no mutable state.
-func meterLoop(dev device.Device, out *device.Outcome, c device.Config, spec Spec, seed int64) (*stats.Measurement, error) {
+// seeded with the configuration's meter seed, until the spec's
+// statistical criterion converges. The meter comes from meterPool,
+// reset to exactly the state meter.NewMeter would build, and is held by
+// this call alone, so concurrent points share no mutable state.
+func meterLoop(dev device.Device, out *device.Outcome, spec Spec, seed int64) (*stats.Measurement, error) {
 	m := meterPool.Get().(*meter.Meter)
 	defer meterPool.Put(m)
-	m.Reset(dev.Spec().IdlePowerW, device.ConfigSeed(seed, c))
+	m.Reset(dev.Spec().IdlePowerW, seed)
 	m.NoiseFrac = spec.NoiseFrac
 	m.SpikeProb = spec.SpikeProb
 	// Short kernels cannot be resolved at the WattsUp's 1 Hz: the real
@@ -295,84 +299,4 @@ func meterLoop(dev device.Device, out *device.Outcome, c device.Config, spec Spe
 		}
 		return rep.DynamicEnergyJ, nil
 	})
-}
-
-// CompareConfigs measures two configurations of the same workload and
-// applies Welch's t-test to their dynamic-energy samples: are the two
-// points of a front *statistically* distinguishable at the methodology's
-// noise level? Front points closer than the measurement precision are
-// not, which is why the paper's precision target (2.5%) bounds how fine a
-// front structure any campaign can resolve.
-func CompareConfigs(dev device.Device, w device.Workload, c1, c2 device.Config, spec Spec, alpha float64) (*stats.WelchResult, error) {
-	if dev == nil {
-		return nil, errors.New("campaign: nil device")
-	}
-	if spec.Measure.Confidence == 0 {
-		spec.Measure = stats.DefaultMeasureSpec()
-		spec.Measure.CheckNormality = false
-	}
-	w = w.Normalized()
-	samplesFor := func(c device.Config, seed int64) (*stats.Sample, error) {
-		out, err := dev.Run(context.Background(), w, c)
-		if err != nil {
-			return nil, err
-		}
-		// The second sample uses an offset campaign seed so the two
-		// measurements are independent even when c1 == c2.
-		meas, err := meterLoop(dev, out, c, spec, seed)
-		if err != nil {
-			return nil, err
-		}
-		return meas.Sample, nil
-	}
-	s1, err := samplesFor(c1, spec.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: measuring %v: %w", c1, err)
-	}
-	s2, err := samplesFor(c2, spec.Seed+104729)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: measuring %v: %w", c2, err)
-	}
-	return stats.WelchTTest(s1, s2, alpha)
-}
-
-// Record converts the campaign's measured values into a persistable
-// device-generic record (measured energy, true time — matching how the
-// paper measures kernel time with CUDA events but energy with the meter).
-func (r *Result) Record() (*store.CampaignRecord, error) {
-	if len(r.Points) == 0 && len(r.Failed) == 0 {
-		return nil, errors.New("campaign: empty result")
-	}
-	rec := &store.CampaignRecord{
-		Version:  store.FormatVersion,
-		Device:   r.Device,
-		Kind:     r.Kind,
-		Workload: r.Workload,
-	}
-	for _, p := range r.Points {
-		rec.Results = append(rec.Results, store.MeasuredPoint{
-			Config:     p.Config.Key(),
-			Label:      p.Config.String(),
-			Seconds:    p.TrueSeconds,
-			DynPowerW:  p.MeasuredEnergyJ / p.TrueSeconds,
-			DynEnergyJ: p.MeasuredEnergyJ,
-			Attempts:   p.Attempts,
-		})
-	}
-	for _, f := range r.Failed {
-		msg := "unknown error"
-		if f.Err != nil {
-			msg = f.Err.Error()
-		}
-		rec.Failed = append(rec.Failed, store.FailedPoint{
-			Config:   f.Config.Key(),
-			Label:    f.Config.String(),
-			Attempts: f.Attempts,
-			Error:    msg,
-		})
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }

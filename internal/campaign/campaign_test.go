@@ -188,89 +188,22 @@ func TestCampaignRobustToSpikes(t *testing.T) {
 	}
 }
 
-func TestCompareConfigsDistinguishesFrontPoints(t *testing.T) {
-	// BS=24 vs BS=32 on the P100 differ in energy by ~2x: easily
-	// distinguishable; a configuration against itself is not.
-	dev := openDev(t, "p100")
-	w := device.Workload{N: 10240, Products: 8}
-	spec := DefaultSpec(11)
-	spec.Measure.MinRuns = 8
-	c24 := configByKey(t, dev, w, "bs=24/g=1/r=8")
-	c32 := configByKey(t, dev, w, "bs=32/g=1/r=8")
-	res, err := CompareConfigs(dev, w, c24, c32, spec, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant {
-		t.Errorf("2x energy gap not detected: p=%v", res.PValue)
-	}
-	if res.MeanDiff >= 0 {
-		t.Error("BS=24 should be cheaper than BS=32")
-	}
-	same, err := CompareConfigs(dev, w, c24, c24, spec, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Significant {
-		t.Errorf("identical configs flagged as different: p=%v", same.PValue)
-	}
-}
-
-// TestCompareConfigsAcrossBackends exercises the generic comparator on a
-// CPU device: the serial decomposition against the balanced two-socket
-// one differ by far more than the measurement noise.
-func TestCompareConfigsAcrossBackends(t *testing.T) {
-	dev := openDev(t, "haswell")
-	w := device.Workload{N: 2048, Products: 1}
-	spec := DefaultSpec(19)
-	spec.Measure.MinRuns = 8
-	serial := configByKey(t, dev, w, "contiguous/p=1/t=1")
-	balanced := configByKey(t, dev, w, "contiguous/p=2/t=12")
-	res, err := CompareConfigs(dev, w, serial, balanced, spec, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Significant {
-		t.Errorf("serial vs balanced decomposition not distinguishable: p=%v", res.PValue)
-	}
-}
-
-func TestCompareConfigsValidation(t *testing.T) {
-	dev := openDev(t, "p100")
-	w := smallWorkload()
-	c := configByKey(t, dev, w, "bs=24/g=1/r=2")
-	if _, err := CompareConfigs(nil, w, c, c, DefaultSpec(1), 0.05); err == nil {
-		t.Error("nil device: want error")
-	}
-	// A foreign backend's configuration is invalid here.
-	cpu := openDev(t, "haswell")
-	foreign := configByKey(t, cpu, w, "contiguous/p=1/t=1")
-	if _, err := CompareConfigs(dev, w, foreign, c, DefaultSpec(1), 0.05); err == nil {
-		t.Error("foreign config: want error")
-	}
-}
-
+// TestCampaignRecordRoundTrip: a campaign streamed through a
+// RecordSink loads back as a valid record with every point.
 func TestCampaignRecordRoundTrip(t *testing.T) {
-	res, err := runAll(openDev(t, "k40c"), smallWorkload(), DefaultSpec(9))
+	dev := openDev(t, "k40c")
+	configs, err := dev.Configs(smallWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := res.Record()
+	loaded, err := store.LoadCampaign(bytes.NewReader(streamRecordBytes(t, dev, smallWorkload(), DefaultSpec(9))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kind != "gpu" {
-		t.Errorf("record kind %q, want gpu", rec.Kind)
+	if loaded.Kind != "gpu" {
+		t.Errorf("record kind %q, want gpu", loaded.Kind)
 	}
-	loaded, err := store.LoadCampaign(bytes.NewReader(marshalRecord(t, rec)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Results) != len(res.Points) {
-		t.Error("record round trip lost points")
-	}
-	empty := &Result{}
-	if _, err := empty.Record(); err == nil {
-		t.Error("empty result: want error")
+	if len(loaded.Results) != len(configs) {
+		t.Errorf("record round trip kept %d of %d points", len(loaded.Results), len(configs))
 	}
 }

@@ -7,15 +7,22 @@ import (
 
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
+	"energyprop/internal/memo"
 	"energyprop/internal/parallel"
 )
 
 // PointOutcome is one configuration's terminal outcome as an Executor
 // reports it: either a measured report or a recorded failure (when the
 // spec degrades gracefully). Exactly one of the two is set.
+//
+// Key and Label are the configuration's Key() and String(), built once
+// by Job.MeasureOn so the sinks need not rebuild them. They live here,
+// not in the memoized PointReport, so the cache stores no strings.
 type PointOutcome struct {
 	Report  PointReport
 	Failure *PointFailure
+	Key     string
+	Label   string
 }
 
 // Job is one campaign execution request handed to an Executor: the
@@ -37,6 +44,9 @@ type Job struct {
 
 	progress *parallel.Progress
 	sink     Sink
+	// keys digests a configuration key into its cache key; built once
+	// per job from Device, Workload and Spec when Spec.Cache is set.
+	keys memo.Prefix
 
 	mu        sync.Mutex
 	committed int
@@ -82,15 +92,22 @@ func (j *Job) Committed() int {
 // campaign must abort: a context error, or any failure when the spec
 // does not degrade gracefully. A tolerated failure comes back as a
 // PointOutcome recording the failure.
+//
+// The configuration's key is built once here and serves as the cache
+// key's varying field, the seed's input and the outcome's Key; the
+// cache key's other fields come from the job's device, so dev must
+// share its identity.
 func (j *Job) MeasureOn(ctx context.Context, dev device.Device, i int) (PointOutcome, error) {
-	p, err := retriedPoint(ctx, dev, j.Workload, j.Configs[i], j.Spec)
+	c := j.Configs[i]
+	key := c.Key()
+	p, err := j.retriedPoint(ctx, dev, c, key, device.KeySeed(j.Spec.Seed, key))
 	if err != nil {
 		if !j.Spec.ContinueOnError || fault.IsContextErr(err) {
 			return PointOutcome{}, err
 		}
-		return PointOutcome{Failure: &PointFailure{Config: j.Configs[i], Attempts: p.Attempts, Err: err}}, nil
+		return PointOutcome{Failure: &PointFailure{Config: c, Attempts: p.Attempts, Err: err}, Key: key, Label: c.String()}, nil
 	}
-	return PointOutcome{Report: p}, nil
+	return PointOutcome{Report: p, Key: key, Label: c.String()}, nil
 }
 
 // Executor is the strategy that fans a campaign's configurations out.

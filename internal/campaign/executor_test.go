@@ -91,15 +91,7 @@ func TestCustomExecutorIsUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRec, err := want.Record()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRec, err := res.Record()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalRecord(t, gotRec), marshalRecord(t, wantRec)) {
+	if !bytes.Equal(marshalRecord(t, referenceRecord(t, res)), marshalRecord(t, referenceRecord(t, want))) {
 		t.Error("custom-executor record differs from the local pool's")
 	}
 }

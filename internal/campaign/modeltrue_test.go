@@ -114,3 +114,15 @@ func TestMeasuredPointKeyPinned(t *testing.T) {
 		t.Errorf("pointKey = %s, want %s", got, want)
 	}
 }
+
+// TestModelTruePointKeyPinned pins the model-true key the same way,
+// through its own domain tag and without the spec tail.
+func TestModelTruePointKeyPinned(t *testing.T) {
+	dev := openDev(t, "haswell")
+	w := smallWorkload().Normalized()
+	c := configByKey(t, dev, w, "contiguous/p=1/t=4")
+	const want = "ea41c1bfdaebc5008ea9a82c06af2e30f73b5751d51e025283f15f72fc48d125"
+	if got := pointKey(dev, w, c, Spec{ModelTrue: true, Seed: 7}); got != want {
+		t.Errorf("pointKey = %s, want %s", got, want)
+	}
+}

@@ -101,15 +101,7 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 			recordWith := func(workers int) []byte {
 				spec := DefaultSpec(31)
 				spec.Workers = workers
-				res, err := runAll(dev, tc.w, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec, err := res.Record()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return marshalRecord(t, rec)
+				return streamRecordBytes(t, dev, tc.w, spec)
 			}
 			serial := recordWith(1)
 			parallel := recordWith(8)
@@ -165,11 +157,7 @@ func TestCPUShuffledCampaignByteIdentical(t *testing.T) {
 		for _, c := range configs {
 			ordered.Points = append(ordered.Points, byKey[c.Key()])
 		}
-		rec, err := ordered.Record()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return marshalRecord(t, rec)
+		return marshalRecord(t, referenceRecord(t, ordered))
 	}
 	shuffled := append([]device.Config(nil), configs...)
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
@@ -229,11 +217,7 @@ func TestPolicyCampaignByteIdentical(t *testing.T) {
 				for _, c := range configs {
 					ordered.Points = append(ordered.Points, byKey[c.Key()])
 				}
-				rec, err := ordered.Record()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return marshalRecord(t, rec)
+				return marshalRecord(t, referenceRecord(t, ordered))
 			}
 			shuffled := append([]device.Config(nil), configs...)
 			rand.New(rand.NewSource(13)).Shuffle(len(shuffled), func(i, j int) {

@@ -90,10 +90,10 @@ func (s *ResultSink) Flush() error { return nil }
 func (s *ResultSink) Result() *Result { return &s.res }
 
 // RecordSink streams outcomes into a store.CampaignWriter, producing a
-// campaign record without materializing the point slice. The field
-// mapping is exactly Result.Record's: measured energy with model-true
-// time for successes, the final error text (or "unknown error") for
-// failures. Flush closes the writer, which finishes the JSON document.
+// campaign record without materializing the point slice: the outcome's
+// key and label, measured energy with model-true time for successes,
+// the final error text (or "unknown error") for failures. Flush closes
+// the writer, which finishes the JSON document.
 type RecordSink struct {
 	W *store.CampaignWriter
 }
@@ -123,16 +123,16 @@ func (s *RecordSink) Accept(o PointOutcome) error {
 			msg = f.Err.Error()
 		}
 		return s.W.WriteFailed(store.FailedPoint{
-			Config:   f.Config.Key(),
-			Label:    f.Config.String(),
+			Config:   o.Key,
+			Label:    o.Label,
 			Attempts: f.Attempts,
 			Error:    msg,
 		})
 	}
 	p := o.Report
 	return s.W.WritePoint(store.MeasuredPoint{
-		Config:     p.Config.Key(),
-		Label:      p.Config.String(),
+		Config:     o.Key,
+		Label:      o.Label,
 		Seconds:    p.TrueSeconds,
 		DynPowerW:  p.MeasuredEnergyJ / p.TrueSeconds,
 		DynEnergyJ: p.MeasuredEnergyJ,
@@ -173,8 +173,8 @@ func (s *IndexSink) Accept(o PointOutcome) error {
 	}
 	p := o.Report
 	s.Index.Insert(s.Key, parindex.Entry{
-		Config: p.Config.Key(),
-		Label:  p.Config.String(),
+		Config: o.Key,
+		Label:  o.Label,
 		Time:   p.TrueSeconds,
 		Energy: p.MeasuredEnergyJ,
 	})

@@ -34,8 +34,8 @@ func streamRecordBytes(t testing.TB, dev device.Device, w device.Workload, spec 
 
 // TestStreamedRecordByteIdentical is the tentpole's acceptance
 // invariant on the local executor: a streamed-sink campaign produces a
-// store record byte-identical to the materialized RunConfigs →
-// Result.Record → indented-JSON path, on all three backend kinds, at
+// store record byte-identical to the materialized RunConfigs result
+// mapped by referenceRecord and encoded as indented JSON, on all three backend kinds, at
 // serial and parallel worker counts. (internal/fleet carries the same
 // invariant for the fleet executor.)
 func TestStreamedRecordByteIdentical(t *testing.T) {
@@ -48,11 +48,7 @@ func TestStreamedRecordByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := res.Record()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := marshalRecord(t, rec)
+			want := marshalRecord(t, referenceRecord(t, res))
 			for _, workers := range []int{1, 8} {
 				sspec := DefaultSpec(31)
 				sspec.Workers = workers
@@ -87,11 +83,7 @@ func TestStreamedRecordWithFailuresByteIdentical(t *testing.T) {
 			if len(res.Failed) == 0 {
 				t.Fatalf("no failures injected — the degraded comparison is vacuous")
 			}
-			rec, err := res.Record()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := marshalRecord(t, rec)
+			want := marshalRecord(t, referenceRecord(t, res))
 
 			sdev, err := fault.Wrap(openDev(t, tc.name), plan)
 			if err != nil {
@@ -126,11 +118,7 @@ func TestIndexSinkMatchesBatchFront(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rec, err := rs.Result().Record()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantFront := pareto.Front(rec.Points())
+			wantFront := pareto.Front(referenceRecord(t, rs.Result()).Points())
 			gotEntries := x.Entries(is.Key)
 			if len(gotEntries) != len(wantFront) {
 				t.Fatalf("front size %d != batch %d", len(gotEntries), len(wantFront))

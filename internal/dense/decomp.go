@@ -2,6 +2,7 @@ package dense
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -56,7 +57,7 @@ func (c Config) Validate(n int) error {
 
 // String renders the configuration as (partition, p, t).
 func (c Config) String() string {
-	return fmt.Sprintf("(%s, p=%d, t=%d)", c.Partition, c.Groups, c.ThreadsPerGroup)
+	return "(" + c.Partition.String() + ", p=" + strconv.Itoa(c.Groups) + ", t=" + strconv.Itoa(c.ThreadsPerGroup) + ")"
 }
 
 // Assignment is the set of C rows one thread owns.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"energyprop/internal/cpusim"
@@ -140,21 +141,23 @@ type HeteroPoint struct {
 }
 
 // Key implements Config, e.g. "haswell=2/k40c=3/p100=3".
-func (p HeteroPoint) Key() string {
-	parts := make([]string, p.NP)
-	for i := 0; i < p.NP; i++ {
-		parts[i] = fmt.Sprintf("%s=%d", p.Labels[i], p.Units[i])
-	}
-	return strings.Join(parts, "/")
-}
+func (p HeteroPoint) Key() string { return p.join("/") }
 
-// String implements Config.
-func (p HeteroPoint) String() string {
-	parts := make([]string, p.NP)
+// String implements Config, e.g. "(haswell=2, k40c=3, p100=3)".
+func (p HeteroPoint) String() string { return "(" + p.join(", ") + ")" }
+
+// join renders the distribution's label=units pairs separated by sep.
+func (p HeteroPoint) join(sep string) string {
+	var b strings.Builder
 	for i := 0; i < p.NP; i++ {
-		parts[i] = fmt.Sprintf("%s=%d", p.Labels[i], p.Units[i])
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(p.Labels[i])
+		b.WriteByte('=')
+		b.WriteString(strconv.Itoa(p.Units[i]))
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return b.String()
 }
 
 // processors validates the workload and builds the ensemble's

@@ -1,8 +1,9 @@
 package device
 
-import (
-	"encoding/binary"
-	"hash/fnv"
+// FNV-1a 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
 )
 
 // ConfigSeed derives the meter seed for one configuration by mixing the
@@ -14,11 +15,21 @@ import (
 // helper, generalized to any backend via Config.Key; it replaces the
 // historical spec.Seed + i*7919 scheme whose meaning changed whenever the
 // enumeration order did.
-func ConfigSeed(seed int64, c Config) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(c.Key()))
-	return int64(h.Sum64())
+func ConfigSeed(seed int64, c Config) int64 { return KeySeed(seed, c.Key()) }
+
+// KeySeed is ConfigSeed for a caller that already holds the
+// configuration's key: KeySeed(seed, c.Key()) == ConfigSeed(seed, c),
+// bit for bit. The hash is inlined, so deriving a seed allocates
+// nothing.
+func KeySeed(seed int64, key string) int64 {
+	h := uint64(fnvOffset64)
+	for u, i := uint64(seed), 0; i < 8; i, u = i+1, u>>8 {
+		h ^= u & 0xff
+		h *= fnvPrime64
+	}
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return int64(h)
 }

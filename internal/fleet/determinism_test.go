@@ -38,17 +38,24 @@ func runRecord(t testing.TB, dev device.Device, w device.Workload, spec campaign
 	return marshalRecord(t, rec)
 }
 
+// runRecordStruct streams a full-config campaign through an indented
+// RecordSink and loads the record back, so runRecord re-encodes it with
+// encoding/json.
 func runRecordStruct(t testing.TB, dev device.Device, w device.Workload, spec campaign.Spec) *store.CampaignRecord {
 	t.Helper()
 	configs, err := dev.Configs(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.RunConfigs(context.Background(), dev, w, configs, spec)
+	var buf bytes.Buffer
+	rs, err := campaign.NewRecordSink(&buf, dev, w, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := res.Record()
+	if err := campaign.Stream(context.Background(), dev, w, configs, spec, rs); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.LoadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

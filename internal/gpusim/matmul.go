@@ -3,6 +3,7 @@ package gpusim
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"energyprop/internal/meter"
 	"energyprop/internal/parallel"
@@ -45,7 +46,7 @@ type MatMulConfig struct {
 
 // String renders the configuration as the paper writes it.
 func (c MatMulConfig) String() string {
-	return fmt.Sprintf("(BS=%d, G=%d, R=%d)", c.BS, c.G, c.R)
+	return "(BS=" + strconv.Itoa(c.BS) + ", G=" + strconv.Itoa(c.G) + ", R=" + strconv.Itoa(c.R) + ")"
 }
 
 // ValidateConfig checks a configuration against a workload on this device:

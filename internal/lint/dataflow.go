@@ -8,8 +8,8 @@ import (
 )
 
 // This file is seedflow v2's dataflow engine: a module-wide taint
-// analysis with device.ConfigSeed as the single source of blessed seed
-// material. Two fixpoints run over the analyzed packages:
+// analysis with device.ConfigSeed (and its key form, device.KeySeed,
+// which ConfigSeed wraps) as the single source of blessed seed material. Two fixpoints run over the analyzed packages:
 //
 //   - forward blessing: the result of device.ConfigSeed is blessed, and
 //     blessing propagates through assignments, declarations, composite
@@ -40,8 +40,10 @@ type seedTaint struct {
 	conduits    map[*types.Func][]int // seed-conduit parameter indices
 }
 
+// isConfigSeedFn reports whether fn is the seed helper: ConfigSeed or
+// KeySeed in the device package.
 func isConfigSeedFn(fn *types.Func) bool {
-	return fn != nil && fn.Name() == "ConfigSeed" &&
+	return fn != nil && (fn.Name() == "ConfigSeed" || fn.Name() == "KeySeed") &&
 		fn.Pkg() != nil && fn.Pkg().Path() == devicePkgPath
 }
 

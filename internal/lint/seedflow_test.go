@@ -294,6 +294,36 @@ func good(m *meter.Meter, idle float64, seed int64) {
 		})
 }
 
+func TestSeedFlowBlessesKeySeed(t *testing.T) {
+	// campaign.Job.MeasureOn builds a point's key once and derives its
+	// seed with device.KeySeed, the key form of ConfigSeed: that seed is
+	// blessed. An FNV hash of the key rolled by hand computes the same
+	// kind of value but is not the shared helper, so it stays a finding.
+	src := `package campaign
+
+import (
+	"hash/fnv"
+
+	"energyprop/internal/device"
+	"energyprop/internal/meter"
+)
+
+func good(m *meter.Meter, idle float64, seed int64, key string) {
+	m.Reset(idle, device.KeySeed(seed, key))
+}
+
+func badHandRolled(m *meter.Meter, idle float64, seed int64, key string) {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	m.Reset(idle, seed^int64(h.Sum64()))
+}
+`
+	checkFixturePkgs(t, []Rule{SeedFlow{}}, "energyprop/internal/campaign", src,
+		[]string{"energyprop/internal/meter"}, []want{
+			{line: 17, rule: "seedflow", substr: "bypasses the device-generic seed helper"},
+		})
+}
+
 func TestSeedFlowTreatsRandsrcSeedAsSink(t *testing.T) {
 	// A meter whose Reset seeds its randsrc.Source directly, with no
 	// rand.Rand.Seed or rand constructor anywhere on the path: the

@@ -31,11 +31,14 @@
 package memo
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash"
 	"sync"
 )
 
@@ -47,14 +50,105 @@ import (
 //
 //lint:root hotalloc runs once per cache lookup on the serving path; key building must not grow the per-request allocation budget
 func Digest(parts ...string) string {
+	return Prefix{}.Digest(parts...)
+}
+
+// Prefix is a Digest with some of its fields encoded in advance: the
+// leading fields as a saved SHA-256 state, the trailing ones (see
+// WithTail) as their encoded bytes. A caller digesting many keys that
+// differ in one middle field — a campaign's points, which share device,
+// workload and spec — hashes the shared fields once instead of once per
+// key. For all field lists a, b and c,
+//
+//	NewPrefix(a...).WithTail(c...).Digest(b...) == Digest(a..., b..., c...)
+//
+// The zero Prefix fixes no field. A Prefix is immutable and safe for
+// concurrent use.
+type Prefix struct {
+	state []byte // sha256 state after the leading fields; nil for none
+	tail  []byte // encoded trailing fields
+}
+
+// NewPrefix fixes the leading fields of a digest.
+func NewPrefix(parts ...string) Prefix {
 	h := sha256.New()
+	var scratch [64]byte
+	writeFields(h, scratch[:], parts)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("memo: saving sha256 state: " + err.Error()) // crypto/sha256 always marshals
+	}
+	return Prefix{state: state}
+}
+
+// WithTail returns p with the given fields fixed after every field its
+// Digest is passed, following any tail p already had.
+func (p Prefix) WithTail(parts ...string) Prefix {
+	var b bytes.Buffer
+	b.Write(p.tail)
 	var lenBuf [8]byte
+	for _, f := range parts {
+		b.Write(fieldLen(lenBuf[:], f))
+		b.WriteString(f)
+	}
+	p.tail = b.Bytes()
+	return p
+}
+
+// Digest returns the digest of p's leading fields, then parts, then
+// p's trailing fields.
+//
+//lint:root hotalloc runs once per measured point on the serving path; a point's key must cost one allocation
+func (p Prefix) Digest(parts ...string) string {
+	hs := hashers.Get().(*hasher)
+	h := hs.h
+	if p.state == nil {
+		h.Reset()
+	} else if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic("memo: restoring sha256 state: " + err.Error()) // state came from MarshalBinary
+	}
+	writeFields(h, hs.buf[:], parts)
+	h.Write(p.tail)
+	sum := h.Sum(hs.buf[:0])
+	hex.Encode(hs.buf[sha256.Size:], sum)
+	key := string(hs.buf[sha256.Size:])
+	hashers.Put(hs)
+	return key
+}
+
+// hasher is a SHA-256 hash with the scratch a digest is encoded
+// through: field length prefixes and short fields, then the sum and its
+// hex form. Pooled, so a digest allocates only its result string and
+// the fields too long for the scratch.
+type hasher struct {
+	h   hash.Hash
+	buf [3 * sha256.Size]byte
+}
+
+var hashers = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
+
+// writeFields hashes each field in the canonical encoding: its
+// fieldLen prefix, then its bytes. scratch (length >= 8) carries the
+// prefix, and the field with it when both fit, so a short field costs
+// one Write and no conversion.
+func writeFields(h hash.Hash, scratch []byte, parts []string) {
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
+		fieldLen(scratch, p)
+		if n := copy(scratch[8:], p); n == len(p) {
+			h.Write(scratch[:8+n])
+			continue
+		}
+		h.Write(scratch[:8])
 		h.Write([]byte(p))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+}
+
+// fieldLen encodes a field's length prefix into buf[:8] and returns
+// it: the byte length as a little-endian uint64. The prefix is what
+// makes the digest encoding injective.
+func fieldLen(buf []byte, p string) []byte {
+	binary.LittleEndian.PutUint64(buf, uint64(len(p)))
+	return buf[:8]
 }
 
 // DefaultCapacity is the entry bound used when New is given a

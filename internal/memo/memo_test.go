@@ -1,8 +1,12 @@
 package memo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -388,4 +392,90 @@ func TestShardForIsDeterministicAndCoversShards(t *testing.T) {
 	if len(seen) != maxShards {
 		t.Fatalf("4096 digest keys covered %d of %d shards", len(seen), maxShards)
 	}
+}
+
+// refDigest is the canonical field encoding written out longhand:
+// SHA-256 over each field's little-endian uint64 length and bytes.
+func refDigest(parts ...string) string {
+	h := sha256.New()
+	for _, p := range parts {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPrefixDigestMatchesDigest: for random field lists, every split
+// into leading fields, digested fields and a tail (itself split into
+// two WithTail calls) yields the one-shot Digest, which is the
+// longhand encoding.
+func TestPrefixDigestMatchesDigest(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	field := func() string {
+		// Up to 200 bytes: past a 64-byte hash block and past the
+		// digest scratch that carries short fields.
+		b := make([]byte, rng.Intn(200))
+		rng.Read(b)
+		return string(b)
+	}
+	for trial := 0; trial < 60; trial++ {
+		parts := make([]string, rng.Intn(8))
+		for i := range parts {
+			parts[i] = field()
+		}
+		want := refDigest(parts...)
+		if got := Digest(parts...); got != want {
+			t.Fatalf("Digest(%q) = %s, want %s", parts, got, want)
+		}
+		for i := 0; i <= len(parts); i++ {
+			for j := i; j <= len(parts); j++ {
+				for k := j; k <= len(parts); k++ {
+					p := NewPrefix(parts[:i]...).WithTail(parts[j:k]...).WithTail(parts[k:]...)
+					if got := p.Digest(parts[i:j]...); got != want {
+						t.Fatalf("split %d/%d/%d of %q: %s, want %s", i, j, k, parts, got, want)
+					}
+				}
+			}
+			if got := (Prefix{}).WithTail(parts[i:]...).Digest(parts[:i]...); got != want {
+				t.Fatalf("tail-only split %d of %q: %s, want %s", i, parts, got, want)
+			}
+		}
+	}
+}
+
+// TestPrefixDigestAllocs bounds a point key's cost: restoring the saved
+// state and hashing one short field allocates only the result string,
+// whatever the prefix and tail hold.
+func TestPrefixDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled hashers")
+	}
+	p := NewPrefix("campaign-point/v1", "p100", "gpu", "Tesla P100").WithTail("7", "0x1.47ae147ae147bp-07")
+	if n := testing.AllocsPerRun(100, func() { _ = p.Digest("bs=16/g=1/r=2") }); n > 1 {
+		t.Errorf("Prefix.Digest allocates %.0f times, want 1", n)
+	}
+}
+
+// TestPrefixDigestConcurrent: one Prefix digested from many goroutines
+// at once (as a campaign's workers do through the pooled hashers)
+// gives every caller its own, correct key.
+func TestPrefixDigestConcurrent(t *testing.T) {
+	p := NewPrefix("campaign-point/v1", "p100").WithTail("7")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("bs=%d/g=%d", g, i)
+				if got, want := p.Digest(key), refDigest("campaign-point/v1", "p100", key, "7"); got != want {
+					t.Errorf("goroutine %d key %q: %s, want %s", g, key, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

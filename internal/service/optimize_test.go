@@ -44,11 +44,32 @@ func TestSweepBodyByteCompatible(t *testing.T) {
 	}
 	spec := campaign.DefaultSpec(9)
 	spec.ContinueOnError = true
-	res, err := campaign.RunConfigs(context.Background(), dev, wl, configs, spec)
+	want, failed := encodedRecord(t, dev, wl, configs, spec)
+	if failed != 0 {
+		t.Fatalf("%d points failed", failed)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("streamed /sweep body differs from encoded materialized record\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// encodedRecord runs the campaign in-process through a compact
+// RecordSink and returns json.Encoder's encoding of the record those
+// bytes decode to — having checked that decoding and re-encoding
+// reproduces them, so the record is exactly what encoding a
+// materialized store.CampaignRecord gives — and the failure count.
+func encodedRecord(t *testing.T, dev device.Device, wl device.Workload, configs []device.Config, spec campaign.Spec) ([]byte, int) {
+	t.Helper()
+	var streamed bytes.Buffer
+	rs, err := campaign.NewRecordSink(&streamed, dev, wl, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := res.Record()
+	counts := &campaign.CountingSink{}
+	if err := campaign.Stream(context.Background(), dev, wl, configs, spec, campaign.MultiSink{rs, counts}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.LoadCampaign(bytes.NewReader(streamed.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +77,10 @@ func TestSweepBodyByteCompatible(t *testing.T) {
 	if err := json.NewEncoder(&want).Encode(rec); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("streamed /sweep body differs from encoded materialized record\n got: %s\nwant: %s", got, want.Bytes())
+	if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+		t.Fatalf("RecordSink bytes differ from the encoded record\n got: %s\nwant: %s", streamed.Bytes(), want.Bytes())
 	}
+	return want.Bytes(), counts.Failed()
 }
 
 // TestDegradedSweepBodyByteCompatible is the same pin on the 206 shape:
@@ -97,23 +119,12 @@ func TestDegradedSweepBodyByteCompatible(t *testing.T) {
 	spec := campaign.DefaultSpec(9)
 	spec.Retry = fault.RetryPolicy{MaxAttempts: 1}
 	spec.ContinueOnError = true
-	res, err := campaign.RunConfigs(context.Background(), fdev, wl, configs, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failed) == 0 {
+	want, failed := encodedRecord(t, fdev, wl, configs, spec)
+	if failed == 0 {
 		t.Fatal("no failures injected — the degraded comparison is vacuous")
 	}
-	rec, err := res.Record()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(rec); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("degraded streamed body differs\n got: %s\nwant: %s", got, want.Bytes())
+	if !bytes.Equal(got, want) {
+		t.Errorf("degraded streamed body differs\n got: %s\nwant: %s", got, want)
 	}
 }
 

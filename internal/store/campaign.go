@@ -49,9 +49,10 @@ type FailedPoint struct {
 	Error string `json:"error"`
 }
 
-// CampaignRecord is one measured campaign on any registered device — the
-// backend-neutral successor of SweepRecord (which remains the schema of
-// GPU-native model-true sweeps).
+// CampaignRecord is one campaign on any registered device: a measured
+// campaign, or a model-true sweep (gpusweep -json), whose points carry
+// the model's energy. It is the backend-neutral successor of
+// SweepRecord, the (BS, G, R)-only schema of GPU sweeps.
 type CampaignRecord struct {
 	Version int `json:"version"`
 	// Device is the hardware catalog name.

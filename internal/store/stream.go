@@ -35,8 +35,9 @@ type CampaignWriter struct {
 	kind     string
 	workload device.Workload
 
-	started bool // header emitted (lazily, on the first point)
-	results int  // measured points written so far
+	started bool   // header emitted (lazily, on the first point)
+	results int    // measured points written so far
+	scratch []byte // one point's encoding, reused across WritePoint
 	seen    map[string]bool
 	failed  []FailedPoint
 	err     error // sticky
@@ -162,6 +163,8 @@ func (cw *CampaignWriter) validatePoint(p MeasuredPoint) error {
 }
 
 // WritePoint appends one measured point to the record's results array.
+// The point is encoded by appendPoint into reused scratch, or by
+// encoding/json when appendPoint declines it; the bytes are the same.
 func (cw *CampaignWriter) WritePoint(p MeasuredPoint) error {
 	if cw.err != nil {
 		return cw.err
@@ -176,31 +179,30 @@ func (cw *CampaignWriter) WritePoint(p MeasuredPoint) error {
 	if err := cw.writeHeader(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if cw.compact {
-		if cw.results == 0 {
-			buf.WriteByte('[')
-		} else {
-			buf.WriteByte(',')
-		}
-		if err := cw.appendJSON(&buf, p, ""); err != nil {
-			cw.err = err
-			return err
-		}
-	} else {
-		if cw.results == 0 {
-			buf.WriteString("[\n    ")
-		} else {
-			buf.WriteString(",\n    ")
-		}
-		if err := cw.appendJSON(&buf, p, "    "); err != nil {
-			cw.err = err
-			return err
-		}
+	b := cw.scratch[:0]
+	switch {
+	case cw.compact && cw.results == 0:
+		b = append(b, '[')
+	case cw.compact:
+		b = append(b, ',')
+	case cw.results == 0:
+		b = append(b, "[\n    "...)
+	default:
+		b = append(b, ",\n    "...)
 	}
+	b, ok := appendPoint(b, p, cw.compact)
+	if !ok {
+		buf := bytes.NewBuffer(b)
+		if err := cw.appendJSON(buf, p, "    "); err != nil {
+			cw.err = err
+			return err
+		}
+		b = buf.Bytes()
+	}
+	cw.scratch = b
 	cw.seen[p.Config] = true
 	cw.results++
-	return cw.flush(buf.Bytes())
+	return cw.flush(b)
 }
 
 // WriteFailed records one given-up point. Failures are buffered until
