@@ -97,10 +97,6 @@ type (
 	MatMulConfig = gpusim.MatMulConfig
 	// GPUResult is one GPU configuration's simulated outcome.
 	GPUResult = gpusim.Result
-	// SweepOptions tunes the parallel sweep engine behind
-	// GPUDevice.SweepContext and ClockSweepContext: worker bound and
-	// serialized per-configuration progress callbacks.
-	SweepOptions = gpusim.SweepOptions
 	// CPUMachine is the simulated dual-socket Haswell node.
 	CPUMachine = cpusim.Machine
 	// GEMMApp is one Fig 4 CPU configuration (N, threadgroups, variant).

@@ -1,8 +1,6 @@
 package energyprop_test
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"energyprop"
@@ -33,33 +31,6 @@ func TestFacadeQuickStartFlow(t *testing.T) {
 	}
 	if rep.BestTradeOff.EnergySavingPct < 40 {
 		t.Errorf("best saving %.1f%%, want ~50%%", rep.BestTradeOff.EnergySavingPct)
-	}
-}
-
-func TestFacadeParallelSweep(t *testing.T) {
-	// The parallel engine is reachable through the facade: an 8-worker
-	// sweep with progress callbacks matches the plain serial sweep.
-	dev := energyprop.NewK40c()
-	w := energyprop.MatMulWorkload{N: 10240, Products: 8}
-	serial, err := dev.Sweep(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticks := 0
-	par, err := dev.SweepContext(context.Background(), w, energyprop.SweepOptions{
-		Workers:  8,
-		Progress: func(done, total int) { ticks++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) || ticks != len(serial) {
-		t.Fatalf("parallel sweep: %d results, %d ticks, want %d", len(par), ticks, len(serial))
-	}
-	for i := range serial {
-		if !reflect.DeepEqual(par[i], serial[i]) {
-			t.Fatalf("result %d differs between serial and parallel facade sweeps", i)
-		}
 	}
 }
 

@@ -87,21 +87,6 @@ func Collect(p gpusim.KernelProfile, products int, seconds, clockMHz float64, sm
 // counterMax is the CUPTI hardware-counter width the paper ran into.
 const counterMax = float64(1 << 32)
 
-// Wrap32 returns the counts as a 32-bit CUPTI counter would report them:
-// raw counts wrap modulo 2³², which is the overflow the paper observed for
-// N > 2048. Ratio metrics (SMEfficiency) do not wrap.
-func Wrap32(c Counts) Counts {
-	out := make(Counts, len(c))
-	for e, v := range c {
-		if e == SMEfficiency {
-			out[e] = v
-			continue
-		}
-		out[e] = math.Mod(v, counterMax)
-	}
-	return out
-}
-
 // Overflowed reports which events of the true counts would overflow a
 // 32-bit counter, sorted by name.
 func Overflowed(c Counts) []Event {

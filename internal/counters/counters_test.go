@@ -93,17 +93,6 @@ func TestOverflowMatchesPaperThreshold(t *testing.T) {
 	}
 }
 
-func TestWrap32(t *testing.T) {
-	c := Counts{FlopCountDP: float64(1<<32) + 5, SMEfficiency: 95}
-	w := Wrap32(c)
-	if w[FlopCountDP] != 5 {
-		t.Errorf("wrapped flop count = %v, want 5", w[FlopCountDP])
-	}
-	if w[SMEfficiency] != 95 {
-		t.Error("ratio metrics must not wrap")
-	}
-}
-
 func TestAdditivityRawCountsAdditive(t *testing.T) {
 	// A compound application (G=2, one kernel) versus its two base
 	// applications (G=1 each): raw counts must be additive within a small

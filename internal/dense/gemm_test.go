@@ -182,9 +182,3 @@ func TestGemmAlphaLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestGEMMFlops(t *testing.T) {
-	if got := GEMMFlops(100); got != 2e6 {
-		t.Errorf("GEMMFlops(100) = %v, want 2e6", got)
-	}
-}

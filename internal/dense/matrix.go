@@ -115,8 +115,3 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// GEMMFlops returns the floating-point operation count of one C = αAB + βC
-// product of square matrices of size n, the paper's performance metric
-// numerator: 2·n³.
-func GEMMFlops(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }

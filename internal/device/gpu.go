@@ -53,9 +53,9 @@ func (g *GPU) Analytic() Device {
 	return &GPU{name: g.name, dev: g.dev, analytic: true}
 }
 
-// Underlying exposes the wrapped simulator for callers that need
-// GPU-specific extras (clock sweeps, ablations); the unified pipeline
-// itself never uses it.
+// Underlying exposes the wrapped simulator for library callers that
+// need GPU-specific extras the Device interface does not carry; nothing
+// in the unified pipeline uses it.
 func (g *GPU) Underlying() *gpusim.Device { return g.dev }
 
 // GPUPoint is one dense-family configuration: the paper's three decision

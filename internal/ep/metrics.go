@@ -74,18 +74,6 @@ func RyckboschEP(utils, power []float64) (float64, error) {
 	return 1 - areaDev/areaIdeal, nil
 }
 
-// DynamicRange computes the "dynamic range" proportionality indicator used
-// by Barroso & Hölzle style analyses: 1 − P(idle)/P(peak), where P(idle)
-// is the power at the lowest observed utilization. An ideal EP system
-// scores 1 (no power at idle).
-func DynamicRange(utils, power []float64) (float64, error) {
-	pts, err := prepareCurve(utils, power)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - pts[0].p/pts[len(pts)-1].p, nil
-}
-
 // LinearityR2 reports the R² of the best linear fit of power against
 // utilization — the statistic works like Fan et al.'s "nearly linear
 // against CPU utilization" observation. Note a high R² does NOT certify a

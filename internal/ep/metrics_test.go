@@ -70,18 +70,6 @@ func TestMetricValidation(t *testing.T) {
 	}
 }
 
-func TestDynamicRange(t *testing.T) {
-	us := []float64{0, 1}
-	ps := []float64{30, 100}
-	dr, err := DynamicRange(us, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dr-0.7) > 1e-12 {
-		t.Errorf("dynamic range = %v, want 0.7", dr)
-	}
-}
-
 func TestLinearityR2(t *testing.T) {
 	us := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	linear := []float64{10, 30, 50, 70, 90}

@@ -57,16 +57,14 @@ func runAblation(opt Options) ([]*Table, error) {
 		if k >= 0 {
 			d.SetBoostK(k)
 		}
-		results, err := d.Sweep(gpusim.MatMulWorkload{N: n, Products: 8})
+		reports, pts, err := gpuSweepPoints(opt, d, n)
 		if err != nil {
 			return nil, err
 		}
-		var pts []pareto.Point
 		var p32 float64
-		for _, r := range results {
-			pts = append(pts, pareto.Point{Label: r.Config.String(), Time: r.Seconds, Energy: r.DynEnergyJ})
-			if r.Config.BS == 32 && r.Config.G == 1 {
-				p32 = r.DynPowerW
+		for _, r := range reports {
+			if c := gpuConfig(r); c.BS == 32 && c.G == 1 {
+				p32 = r.TrueEnergyJ / r.TrueSeconds
 			}
 		}
 		front := pareto.Front(pts)
@@ -94,13 +92,9 @@ func runAblation(opt Options) ([]*Table, error) {
 			d.SetGroupEffects(0, 0)
 			d.SetFetchEngine(false)
 		}
-		results, err := d.Sweep(gpusim.MatMulWorkload{N: n, Products: 8})
+		_, pts, err := gpuSweepPoints(opt, d, n)
 		if err != nil {
 			return nil, err
-		}
-		var pts []pareto.Point
-		for _, r := range results {
-			pts = append(pts, pareto.Point{Label: r.Config.String(), Time: r.Seconds, Energy: r.DynEnergyJ})
 		}
 		front := pareto.Front(pts)
 		labels := ""

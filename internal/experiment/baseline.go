@@ -24,14 +24,13 @@ func runBaseline(opt Options) ([]*Table, error) {
 		Columns: []string{"device", "point", "time_s", "dyn_energy_j", "note"},
 	}
 	for _, dev := range []*gpusim.Device{gpusim.NewK40c(), gpusim.NewP100()} {
-		w := gpusim.MatMulWorkload{N: n, Products: 8}
-		lib, err := dev.RunCUBLASDGEMM(w)
+		lib, err := dev.RunCUBLASDGEMM(gpusim.MatMulWorkload{N: n, Products: 8})
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(dev.Spec.Name, "CUBLAS DGEMM", f(lib.Seconds, 3), f(lib.DynEnergyJ, 1),
 			"single point: no decision variables")
-		_, pts, err := gpuSweepPoints(dev, w)
+		_, pts, err := gpuSweepPoints(opt, dev, n)
 		if err != nil {
 			return nil, err
 		}

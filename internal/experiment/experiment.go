@@ -20,8 +20,9 @@ type Options struct {
 	// Quick shrinks sweeps for tests and benchmarks (fewer sizes, fewer
 	// measured repetitions) without changing any qualitative outcome.
 	Quick bool
-	// Workers bounds the fan-out of the measured-campaign experiments
-	// (0 = one per CPU). Results are identical for every worker count.
+	// Workers bounds the fan-out of the measured campaigns and of the
+	// figures' GPU sweeps (0 = one per CPU). Results are identical for
+	// every worker count.
 	Workers int
 }
 

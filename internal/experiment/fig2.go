@@ -20,9 +20,7 @@ func runFig2(opt Options) ([]*Table, error) {
 	if opt.Quick {
 		n = 9216
 	}
-	dev := gpusim.NewP100()
-	w := gpusim.MatMulWorkload{N: n, Products: 8}
-	results, pts, err := gpuSweepPoints(dev, w)
+	results, pts, err := gpuSweepPoints(opt, gpusim.NewP100(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -31,8 +29,8 @@ func runFig2(opt Options) ([]*Table, error) {
 		Title:   "Fig 2 (top left): all configurations, P100, N=18432",
 		Columns: []string{"config", "time_s", "dyn_energy_j"},
 	}
-	for i, r := range results {
-		all.AddRow(r.Config.String(), f(pts[i].Time, 4), f(pts[i].Energy, 1))
+	for _, p := range pts {
+		all.AddRow(p.Label, f(p.Time, 4), f(p.Energy, 1))
 	}
 	weak, err := ep.AnalyzeWeakEP(pts, 0.025)
 	if err != nil {

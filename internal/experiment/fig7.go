@@ -23,7 +23,7 @@ func runFig7(opt Options) ([]*Table, error) {
 	dev := gpusim.NewK40c()
 	var tables []*Table
 	for _, n := range sizes {
-		results, pts, err := gpuSweepPoints(dev, gpusim.MatMulWorkload{N: n, Products: 8})
+		results, pts, err := gpuSweepPoints(opt, dev, n)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ func runFig8(opt Options) ([]*Table, error) {
 	dev := gpusim.NewP100()
 	var tables []*Table
 	for _, n := range sizes {
-		_, pts, err := gpuSweepPoints(dev, gpusim.MatMulWorkload{N: n, Products: 8})
+		_, pts, err := gpuSweepPoints(opt, dev, n)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ func runSensitivity(opt Options) ([]*Table, error) {
 	for _, factor := range factors {
 		p100 := gpusim.NewP100()
 		p100.ScaleTradeoffPower(factor)
-		_, pts, err := gpuSweepPoints(p100, gpusim.MatMulWorkload{N: n, Products: 8})
+		_, pts, err := gpuSweepPoints(opt, p100, n)
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +40,7 @@ func runSensitivity(opt Options) ([]*Table, error) {
 		}
 		k40c := gpusim.NewK40c()
 		k40c.ScaleTradeoffPower(factor)
-		_, kpts, err := gpuSweepPoints(k40c, gpusim.MatMulWorkload{N: n, Products: 8})
+		_, kpts, err := gpuSweepPoints(opt, k40c, n)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +58,7 @@ func runSensitivity(opt Options) ([]*Table, error) {
 	for _, factor := range factors {
 		dev := gpusim.NewP100()
 		dev.ScaleTradeoffPerf(factor)
-		_, pts, err := gpuSweepPoints(dev, gpusim.MatMulWorkload{N: n, Products: 8})
+		_, pts, err := gpuSweepPoints(opt, dev, n)
 		if err != nil {
 			return nil, err
 		}

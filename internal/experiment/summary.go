@@ -40,7 +40,7 @@ func runSummary(opt Options) ([]*Table, error) {
 		maxSaving, atDeg := 0.0, 0.0
 		var globalSizes, localSizes []int
 		for _, n := range sizes {
-			results, pts, err := gpuSweepPoints(c.dev, gpusim.MatMulWorkload{N: n, Products: 8})
+			results, pts, err := gpuSweepPoints(opt, c.dev, n)
 			if err != nil {
 				return nil, err
 			}

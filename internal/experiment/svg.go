@@ -124,7 +124,7 @@ func svgFig2(opt Options) (*plot.Plot, error) {
 	if opt.Quick {
 		n = 9216
 	}
-	_, pts, err := gpuSweepPoints(gpusim.NewP100(), gpusim.MatMulWorkload{N: n, Products: 8})
+	_, pts, err := gpuSweepPoints(opt, gpusim.NewP100(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +191,7 @@ func svgFig6(opt Options) (*plot.Plot, error) {
 }
 
 func svgFig7(opt Options) (*plot.Plot, error) {
-	results, pts, err := gpuSweepPoints(gpusim.NewK40c(), gpusim.MatMulWorkload{N: 10240, Products: 8})
+	results, pts, err := gpuSweepPoints(opt, gpusim.NewK40c(), 10240)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +201,7 @@ func svgFig7(opt Options) (*plot.Plot, error) {
 }
 
 func svgFig8(opt Options) (*plot.Plot, error) {
-	_, pts, err := gpuSweepPoints(gpusim.NewP100(), gpusim.MatMulWorkload{N: 10240, Products: 8})
+	_, pts, err := gpuSweepPoints(opt, gpusim.NewP100(), 10240)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,6 @@
 package gpusim
 
-import (
-	"context"
-	"fmt"
-
-	"energyprop/internal/parallel"
-)
+import "fmt"
 
 // GPU clock scaling (the nvidia-smi -lgc analog): the system-level knob
 // on the GPU side, complementing the application-level (BS, G, R)
@@ -45,26 +40,17 @@ func (d *Device) RunMatMulAtClock(w MatMulWorkload, c MatMulConfig, clockMHz flo
 	return scaled.RunMatMul(w, c)
 }
 
-// ClockSweep runs one configuration across every clock level.
+// ClockSweep runs one configuration at every clock level, in level
+// order, and returns the results with the levels.
 func (d *Device) ClockSweep(w MatMulWorkload, c MatMulConfig) ([]*Result, []float64, error) {
-	return d.ClockSweepContext(context.Background(), w, c, SweepOptions{})
-}
-
-// ClockSweepContext is ClockSweep on the parallel engine: clock levels
-// fan out across workers and the results come back in level order.
-func (d *Device) ClockSweepContext(ctx context.Context, w MatMulWorkload, c MatMulConfig, opt SweepOptions) ([]*Result, []float64, error) {
 	levels := d.ClockLevels()
-	prog := parallel.NewProgress(len(levels), opt.Progress)
-	out, err := parallel.Map(ctx, opt.Workers, len(levels), func(_ context.Context, i int) (*Result, error) {
-		r, err := d.RunMatMulAtClock(w, c, levels[i])
+	out := make([]*Result, len(levels))
+	for i, mhz := range levels {
+		r, err := d.RunMatMulAtClock(w, c, mhz)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		prog.Tick()
-		return r, nil
-	})
-	if err != nil {
-		return nil, nil, err
+		out[i] = r
 	}
 	return out, levels, nil
 }

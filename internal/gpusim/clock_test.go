@@ -105,3 +105,12 @@ func TestClockSweep(t *testing.T) {
 		}
 	}
 }
+
+func TestClockSweepError(t *testing.T) {
+	d := NewP100()
+	// Invalid configuration: the error must surface from the sweep.
+	_, _, err := d.ClockSweep(MatMulWorkload{N: 1024, Products: 8}, MatMulConfig{BS: 64, G: 1, R: 8})
+	if err == nil {
+		t.Fatal("invalid config: want error")
+	}
+}

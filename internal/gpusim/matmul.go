@@ -1,12 +1,10 @@
 package gpusim
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
 	"energyprop/internal/meter"
-	"energyprop/internal/parallel"
 )
 
 // MatMulWorkload is the problem every configuration must solve: Products
@@ -204,31 +202,12 @@ func (r *Result) Run(idlePowerW float64) meter.Run {
 	return seg
 }
 
-// SweepOptions tunes the parallel sweep engine.
-type SweepOptions struct {
-	// Workers bounds the number of configurations evaluated concurrently.
-	// 0 (or negative) selects runtime.GOMAXPROCS; 1 forces the serial
-	// reference path.
-	Workers int
-	// Progress, if non-nil, is called once per completed configuration
-	// with the running completion count. Calls are serialized by the
-	// engine, so the callback needs no locking of its own.
-	Progress func(done, total int)
-}
-
-// Sweep runs every valid configuration of the workload and returns the
-// results in enumeration order. It fans out across GOMAXPROCS workers;
-// the model is deterministic, so the results are identical to a serial
-// sweep. Use SweepContext for cancellation or explicit worker counts.
+// Sweep runs every valid configuration of the workload, one after
+// another, and returns the results in enumeration order (by BS, then
+// G). Parallel, cancellable sweeps go through campaign.Stream with
+// Spec.ModelTrue on the device.GPU adapter's Analytic variant, which
+// yields the same numbers.
 func (d *Device) Sweep(w MatMulWorkload) ([]*Result, error) {
-	return d.SweepContext(context.Background(), w, SweepOptions{})
-}
-
-// SweepContext is Sweep with context cancellation, a configurable worker
-// bound, and per-configuration progress callbacks. Results are always
-// reassembled in canonical enumeration order (by BS, then G), whatever
-// the completion order of the workers.
-func (d *Device) SweepContext(ctx context.Context, w MatMulWorkload, opt SweepOptions) ([]*Result, error) {
 	configs, err := d.EnumerateConfigs(w)
 	if err != nil {
 		return nil, err
@@ -236,13 +215,11 @@ func (d *Device) SweepContext(ctx context.Context, w MatMulWorkload, opt SweepOp
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("gpusim: workload %+v admits no valid configuration", w)
 	}
-	prog := parallel.NewProgress(len(configs), opt.Progress)
-	return parallel.Map(ctx, opt.Workers, len(configs), func(_ context.Context, i int) (*Result, error) {
-		r, err := d.RunMatMul(w, configs[i])
-		if err != nil {
+	out := make([]*Result, len(configs))
+	for i, c := range configs {
+		if out[i], err = d.RunMatMul(w, c); err != nil {
 			return nil, err
 		}
-		prog.Tick()
-		return r, nil
-	})
+	}
+	return out, nil
 }

@@ -1,6 +1,7 @@
 // Package parallel is the bounded worker-pool substrate behind every
-// fan-out hot path: GPU configuration sweeps (gpusim.Sweep, ClockSweep),
-// measured campaigns (campaign.Stream), and the HTTP /sweep endpoint. It
+// fan-out hot path: campaign.Stream's local executor — the one sweep
+// engine the CLIs, the HTTP /sweep endpoint and the paper-figure
+// experiments share — and the fleet coordinator's shard dispatch. It
 // exists so that "run f over N independent items on W goroutines, keep
 // the results in item order, stop early on error or cancellation" is
 // written — and tested under -race — exactly once.

@@ -7,11 +7,11 @@ import (
 )
 
 // Steady-state allocation guards for the measurement loop. The former
-// implementation re-ran RejectOutliers and rebuilt a fresh Sample on
-// every observation — three full-sample copies per run, O(n²) bytes over
-// a long measurement. The loop now works out of a pooled measureState,
-// so the allocation count of a whole measurement is a small constant
-// regardless of how many runs it takes.
+// implementation re-ran the batch outlier rejection and rebuilt a fresh
+// Sample on every observation — three full-sample copies per run, O(n²)
+// bytes over a long measurement. The loop now works out of a pooled
+// measureState, so the allocation count of a whole measurement is a
+// small constant regardless of how many runs it takes.
 
 // TestMeasureConvergedAllocs: a short converged measurement allocates
 // only its fixed outputs (the retained Sample and the Measurement),

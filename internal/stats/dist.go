@@ -43,16 +43,6 @@ func GammaP(a, x float64) (float64, error) {
 	return 1 - q, nil
 }
 
-// GammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	p, err := GammaP(a, x)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - p, nil
-}
-
 // gammaPSeries evaluates P(a,x) by its power series, valid for x < a+1.
 func gammaPSeries(a, x float64) (float64, error) {
 	lg, _ := math.Lgamma(a)

@@ -46,21 +46,6 @@ func TestGammaPInvalidInputs(t *testing.T) {
 	}
 }
 
-func TestGammaPQComplementary(t *testing.T) {
-	for _, a := range []float64{0.3, 1, 2.5, 10, 50} {
-		for _, x := range []float64{0.1, 1, 5, 20, 100} {
-			p, err1 := GammaP(a, x)
-			q, err2 := GammaQ(a, x)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("GammaP/Q(%v,%v): %v %v", a, x, err1, err2)
-			}
-			if !almostEqual(p+q, 1, 1e-10) {
-				t.Errorf("P+Q(%v,%v) = %v, want 1", a, x, p+q)
-			}
-		}
-	}
-}
-
 func TestBetaIncKnownValues(t *testing.T) {
 	// I_x(1,1) = x (uniform distribution).
 	for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {

@@ -83,9 +83,10 @@ type Measurement struct {
 // sorted view of the raw observations (for the median), the kept buffer
 // of the rejection pass, and the effective sample the convergence check
 // reads. Pooled so a measurement loop of any length allocates O(1) at
-// steady state — the former per-observation RejectOutliers + NewSample
-// rebuild copied the whole sample three times per run, an O(n²)
-// allocation pattern a 1000-run measurement turned into ~1500 slices.
+// steady state — re-running the batch rejection (rejectOutliers in
+// robust_test.go) and rebuilding a Sample per observation would copy the
+// whole sample three times per run, an O(n²) allocation pattern a
+// 1000-run measurement turns into ~1500 slices.
 type measureState struct {
 	raw    Sample    // all observations, insertion order
 	sorted []float64 // all observations, ascending
@@ -177,7 +178,8 @@ func (st *measureState) madFromSorted(med float64) float64 {
 
 // step folds one observation in and returns the sample the convergence
 // check should see — the incremental equivalent of appending to the raw
-// sample and re-running RejectOutliers over it.
+// sample and re-running the batch rejection over it (the rejectOutliers
+// oracle in robust_test.go, checked against step at every prefix).
 //
 //lint:root hotalloc the per-observation step of the measurement loop runs up to MaxRuns times per metric per configuration; all buffers are pooled
 func (st *measureState) step(spec *MeasureSpec, x float64) (*Sample, int) {

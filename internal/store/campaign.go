@@ -1,3 +1,9 @@
+// Package store persists campaign records as JSON so measurement
+// campaigns can be captured once and re-analyzed (fronts, trade-offs,
+// models) without re-running the simulators — mirroring how the paper's
+// tooling separates the expensive measurement step from the analysis
+// step. One backend-neutral schema (CampaignRecord) serves every
+// registered device; CampaignWriter streams it point by point.
 package store
 
 import (
@@ -49,10 +55,12 @@ type FailedPoint struct {
 	Error string `json:"error"`
 }
 
+// FormatVersion identifies the on-disk schema.
+const FormatVersion = 1
+
 // CampaignRecord is one campaign on any registered device: a measured
 // campaign, or a model-true sweep (gpusweep -json), whose points carry
-// the model's energy. It is the backend-neutral successor of
-// SweepRecord, the (BS, G, R)-only schema of GPU sweeps.
+// the model's energy.
 type CampaignRecord struct {
 	Version int `json:"version"`
 	// Device is the hardware catalog name.

@@ -67,12 +67,3 @@ func StencilFlops(n int) float64 {
 func StencilBytes(n int) float64 {
 	return 16 * float64(n) * float64(n)
 }
-
-// Intensity returns the arithmetic intensity flops/bytes; 0 when bytes
-// is not positive.
-func Intensity(flops, bytes float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return flops / bytes
-}
