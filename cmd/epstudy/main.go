@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	plan, err := cf.Plan(*workers)
+	plan, err := cf.Plan()
 	if err != nil {
 		cli.Errorf(stderr, "epstudy: %v\n", err)
 		return 2
@@ -366,9 +366,9 @@ func writeSVGs(out *cli.Writer, dir string, opt experiment.Options) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for name, svg := range figs {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
+	for _, f := range figs {
+		path := filepath.Join(dir, f.Name)
+		if err := os.WriteFile(path, []byte(f.SVG), 0o644); err != nil {
 			return err
 		}
 		out.Printf("wrote %s\n", path)

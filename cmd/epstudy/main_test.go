@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,17 +137,32 @@ func TestHTMLToFile(t *testing.T) {
 	}
 }
 
+// TestSVGDir: -svgdir writes every figure and logs the writes in the
+// figures' fixed order, so two runs print identical output.
 func TestSVGDir(t *testing.T) {
 	dir := t.TempDir()
 	out, _, code := runCLI(t, "-svgdir", dir, "-quick")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.Contains(out, "fig1.svg") {
-		t.Error("svg write log missing")
+	var wrote []string
+	for _, line := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(line, "wrote "); ok {
+			wrote = append(wrote, name)
+		}
+	}
+	var want []string
+	for _, name := range []string{"fig1.svg", "fig2.svg", "fig4.svg", "fig6.svg", "fig7.svg", "fig8.svg"} {
+		want = append(want, filepath.Join(dir, name))
+	}
+	if !reflect.DeepEqual(wrote, want) {
+		t.Errorf("write log %q, want %q", wrote, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig8.svg")); err != nil {
 		t.Errorf("fig8.svg not written: %v", err)
+	}
+	if again, _, _ := runCLI(t, "-svgdir", dir, "-quick"); again != out {
+		t.Errorf("second run printed different output:\n%s\nvs\n%s", again, out)
 	}
 }
 

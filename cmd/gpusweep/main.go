@@ -78,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	plan, err := cf.Plan(*workers)
+	plan, err := cf.Plan()
 	if err != nil {
 		cli.Errorf(stderr, "gpusweep: %v\n", err)
 		return 2

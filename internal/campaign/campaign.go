@@ -18,7 +18,6 @@ import (
 	"energyprop/internal/device"
 	"energyprop/internal/fault"
 	"energyprop/internal/meter"
-	"energyprop/internal/parallel"
 	"energyprop/internal/stats"
 )
 
@@ -39,8 +38,9 @@ type Spec struct {
 	// point's measurement is independent of sweep order, worker count,
 	// and backend.
 	Seed int64
-	// Workers bounds the number of configurations measured concurrently.
-	// 0 (or negative) selects runtime.GOMAXPROCS; 1 forces the serial
+	// Workers bounds the number of configurations measured concurrently
+	// (on a fleet, the number of shards a round runs at once). 0 (or
+	// negative) selects runtime.GOMAXPROCS; 1 forces the serial
 	// reference path. Any worker count produces identical records.
 	Workers int
 	// Cache, if non-nil, memoizes measured points across campaigns:
@@ -53,9 +53,10 @@ type Spec struct {
 	// (singleflight). Share one cache across campaigns only for devices
 	// opened fresh from the device registry — see PointCache.
 	Cache *PointCache
-	// Progress, if non-nil, is called once per measured configuration
-	// with the running completion count. Calls are serialized by the
-	// engine, so the callback needs no locking of its own.
+	// Progress, if non-nil, is called after each outcome reaches the
+	// sink, with the number delivered so far: 1, 2, ..., total, in
+	// order. Calls are serialized by the engine, so the callback needs
+	// no locking of its own.
 	Progress func(done, total int)
 	// Retry bounds re-measurement of a failing point: a transient device
 	// error or a corrupt meter sample burns one attempt and the point is
@@ -167,8 +168,10 @@ func RunConfigs(ctx context.Context, dev device.Device, w device.Workload, confi
 // exactly len(configs) Accept calls (one per configuration, in order)
 // followed by one Flush; on any error — executor, context, or sink —
 // the campaign aborts, Flush is never called, and the error is
-// returned. Delivery order and bytes are executor-independent, so a
-// streamed campaign's record is byte-identical to a materialized one.
+// returned (a sink error ahead of any other: a serial loop would have
+// stopped at it first). Delivery order and bytes are
+// executor-independent, so a streamed campaign's record is
+// byte-identical to a materialized one.
 func Stream(ctx context.Context, dev device.Device, w device.Workload, configs []device.Config, spec Spec, sink Sink) error {
 	if dev == nil {
 		return errors.New("campaign: nil device")
@@ -192,7 +195,6 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 		Workload: w,
 		Configs:  configs,
 		Spec:     spec,
-		progress: parallel.NewProgress(len(configs), spec.Progress),
 		sink:     sink,
 	}
 	if spec.Cache != nil {
@@ -202,11 +204,16 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 	if exec == nil {
 		exec = LocalExecutor{}
 	}
-	if err := exec.Execute(ctx, job); err != nil {
+	err := exec.Execute(ctx, job)
+	n, serr := job.delivery()
+	if serr != nil {
+		return serr
+	}
+	if err != nil {
 		return err
 	}
-	if n := job.Committed(); n != len(configs) {
-		return fmt.Errorf("campaign: executor %T committed %d outcomes for %d configurations", exec, n, len(configs))
+	if n != len(configs) {
+		return fmt.Errorf("campaign: executor %T delivered %d outcomes for %d configurations", exec, n, len(configs))
 	}
 	return sink.Flush()
 }

@@ -31,7 +31,8 @@ type PointOutcome struct {
 // each outcome through Commit; how the work is fanned out (a local
 // worker pool, a sharded fleet of simulated nodes, ...) is the
 // executor's business and must never change the outcome bytes — a
-// point's measurement is a pure function of (Spec.Seed, config).
+// point's measurement is a pure function of (Spec.Seed, config), and
+// Commit alone puts the outcomes back into configuration order.
 type Job struct {
 	// Device is the campaign's reference device. Executors that host
 	// their own device instances (fleet nodes) must host instances with
@@ -42,46 +43,88 @@ type Job struct {
 	Configs  []device.Config
 	Spec     Spec
 
-	progress *parallel.Progress
-	sink     Sink
+	sink Sink
 	// keys digests a configuration key into its cache key; built once
 	// per job from Device, Workload and Spec when Spec.Cache is set.
 	keys memo.Prefix
 
-	mu        sync.Mutex
-	committed int
+	mu sync.Mutex
+	// delivered counts the outcomes handed to the sink: it is also the
+	// index of the next outcome due.
+	delivered int
+	// early holds outcomes committed ahead of an undelivered
+	// predecessor, by index.
+	early map[int]PointOutcome
+	// err is the sink's error; once set, nothing more is delivered.
+	err error
 }
 
-// Commit delivers the i-th configuration's outcome to the campaign's
-// sink and progress callback. Executors must commit outcome i for every
-// i in [0, len(Configs)) exactly once, in increasing order — the
-// in-order contract is what makes a streamed campaign byte-identical to
-// the old materialized path on any executor, and Commit enforces it:
-// an out-of-order or duplicate commit is an error. Calls are
-// serialized by the job, so sinks need no locking of their own. A sink
-// error aborts the campaign; executors must stop dispatching and
-// return it.
+// Commit hands the i-th configuration's outcome to the job, which
+// delivers outcomes to the campaign's sink in configuration order:
+// outcome i goes straight to the sink when 0..i-1 have been delivered,
+// and otherwise waits until they have. Executors may commit from any
+// goroutine and in any order; committing an index twice, or one outside
+// [0, len(Configs)), is an error. Deliveries are serialized by the job,
+// so neither sinks nor the Spec.Progress callback need locking of their
+// own. A sink error is sticky: it is returned by the Commit that
+// delivered the rejected outcome and by every later one, and Stream
+// reports it ahead of any executor error, as a serial loop would.
+// Executors should stop dispatching once Commit fails.
 func (j *Job) Commit(i int, o PointOutcome) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if i != j.committed {
-		return fmt.Errorf("campaign: executor committed outcome %d out of order (want %d)", i, j.committed)
+	if j.err != nil {
+		return j.err
 	}
-	j.committed++
-	if j.sink != nil {
-		if err := j.sink.Accept(o); err != nil {
+	if i < 0 || i >= len(j.Configs) {
+		return fmt.Errorf("campaign: outcome %d out of range for %d configurations", i, len(j.Configs))
+	}
+	if i != j.delivered {
+		if _, dup := j.early[i]; dup || i < j.delivered {
+			return fmt.Errorf("campaign: outcome %d committed twice", i)
+		}
+		if j.early == nil {
+			j.early = make(map[int]PointOutcome)
+		}
+		j.early[i] = o
+		return nil
+	}
+	if err := j.deliver(o); err != nil {
+		return err
+	}
+	for len(j.early) > 0 {
+		next, ok := j.early[j.delivered]
+		if !ok {
+			break
+		}
+		delete(j.early, j.delivered)
+		if err := j.deliver(next); err != nil {
 			return err
 		}
 	}
-	j.progress.Tick()
 	return nil
 }
 
-// Committed returns how many outcomes have been committed so far.
-func (j *Job) Committed() int {
+// deliver passes the next outcome due to the sink and reports progress;
+// the caller holds mu.
+func (j *Job) deliver(o PointOutcome) error {
+	if err := j.sink.Accept(o); err != nil {
+		j.err = err
+		return err
+	}
+	j.delivered++
+	if j.Spec.Progress != nil {
+		j.Spec.Progress(j.delivered, len(j.Configs))
+	}
+	return nil
+}
+
+// delivery returns how many outcomes reached the sink and the sink's
+// error, if any.
+func (j *Job) delivery() (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.committed
+	return j.delivered, j.err
 }
 
 // MeasureOn measures the job's i-th configuration on dev — the
@@ -113,12 +156,12 @@ func (j *Job) MeasureOn(ctx context.Context, dev device.Device, i int) (PointOut
 // Executor is the strategy that fans a campaign's configurations out.
 // The local worker pool is the reference implementation; internal/fleet
 // provides a sharded multi-node dispatcher. Every implementation must
-// measure each of job.Configs (typically via job.MeasureOn) and deliver
-// every outcome through job.Commit — in index order, exactly once —
-// before returning nil. Stream verifies the count. Executors shape
-// wall-clock and fault tolerance, never results: Stream callers (the
-// service, gpusweep, epstudy) get identical sink deliveries from any
-// executor.
+// measure each of job.Configs (typically via job.MeasureOn) and commit
+// each outcome exactly once, in any order, through job.Commit before
+// returning nil; Stream verifies that every outcome was delivered.
+// Executors shape wall-clock and fault tolerance, never results: Stream
+// callers (the service, gpusweep, epstudy) get identical sink
+// deliveries from any executor.
 type Executor interface {
 	Execute(ctx context.Context, job *Job) error
 }
@@ -129,14 +172,16 @@ type Executor interface {
 // determinism test compares against.
 type LocalExecutor struct{}
 
-// Execute implements Executor on the in-process pool: parallel.Each
-// fans the configurations out and re-serializes completions into
-// in-order commits, so outcome i reaches the sink as soon as outcomes
-// 0..i-1 have — no end-of-campaign materialization barrier.
+// Execute implements Executor on the in-process pool: each worker
+// measures a configuration and commits it, and the job delivers outcome
+// i as soon as outcomes 0..i-1 have landed — no end-of-campaign
+// materialization barrier.
 func (LocalExecutor) Execute(ctx context.Context, job *Job) error {
-	return parallel.Each(ctx, job.Spec.Workers, len(job.Configs),
-		func(ctx context.Context, i int) (PointOutcome, error) {
-			return job.MeasureOn(ctx, job.Device, i)
-		},
-		job.Commit)
+	return parallel.For(ctx, job.Spec.Workers, len(job.Configs), func(ctx context.Context, i int) error {
+		o, err := job.MeasureOn(ctx, job.Device, i)
+		if err != nil {
+			return err
+		}
+		return job.Commit(i, o)
+	})
 }

@@ -11,11 +11,12 @@ import (
 	"energyprop/internal/store"
 )
 
-// Sink consumes a campaign's point outcomes as they are committed —
+// Sink consumes a campaign's point outcomes as they are delivered —
 // the streaming replacement for "materialize []PointOutcome,
 // post-process later". The engine guarantees Accept is called in
 // configuration order (index 0, 1, 2, ...), exactly once per
-// configuration, never concurrently, and that Flush is called exactly
+// configuration, never concurrently (Job.Commit re-serializes whatever
+// order the executor finishes points in), and that Flush is called exactly
 // once, after every Accept, only when the campaign completed — an
 // aborted campaign never flushes, so a sink can treat Flush as its
 // commit point. An Accept or Flush error aborts the campaign.

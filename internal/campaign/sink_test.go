@@ -184,8 +184,26 @@ func (s *deliveryOrderSink) Accept(o PointOutcome) error {
 
 func (s *deliveryOrderSink) Flush() error { s.flushes++; return nil }
 
-// TestSinkDeliveryOrder: Accept sees configurations in list order at
-// any worker count, and Flush runs exactly once after the last Accept.
+// deliveryCases are the fan-outs the delivery contract must hold
+// under: the serial pool, a parallel pool, and sixteen workers whose
+// completions are scrambled on purpose.
+func deliveryCases() []struct {
+	name string
+	spec func(Spec) Spec
+} {
+	return []struct {
+		name string
+		spec func(Spec) Spec
+	}{
+		{"workers=1", func(s Spec) Spec { s.Workers = 1; return s }},
+		{"workers=7", func(s Spec) Spec { s.Workers = 7; return s }},
+		{"scrambled", func(s Spec) Spec { s.Executor = scrambledExecutor; return s }},
+	}
+}
+
+// TestSinkDeliveryOrder: Accept sees configurations in list order, each
+// once, whatever order the workers finish in, and Flush runs exactly
+// once after the last Accept.
 func TestSinkDeliveryOrder(t *testing.T) {
 	dev := openDev(t, "p100")
 	w := smallWorkload()
@@ -197,18 +215,16 @@ func TestSinkDeliveryOrder(t *testing.T) {
 	for i, c := range configs {
 		want[i] = c.Key()
 	}
-	for _, workers := range []int{1, 7} {
-		spec := DefaultSpec(31)
-		spec.Workers = workers
+	for _, tc := range deliveryCases() {
 		s := &deliveryOrderSink{}
-		if err := Stream(context.Background(), dev, w, configs, spec, s); err != nil {
+		if err := Stream(context.Background(), dev, w, configs, tc.spec(DefaultSpec(31)), s); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(s.keys, want) {
-			t.Errorf("workers=%d: delivery order %v != config order %v", workers, s.keys, want)
+			t.Errorf("%s: delivery order %v != config order %v", tc.name, s.keys, want)
 		}
 		if s.flushes != 1 {
-			t.Errorf("workers=%d: %d flushes", workers, s.flushes)
+			t.Errorf("%s: %d flushes", tc.name, s.flushes)
 		}
 	}
 }
@@ -231,8 +247,9 @@ func (s *abortingSink) Accept(o PointOutcome) error {
 
 func (s *abortingSink) Flush() error { s.flushes++; return nil }
 
-// TestSinkErrorAbortsCampaign: an Accept error aborts the stream at
-// any worker count, and Flush is never called on the aborted sink.
+// TestSinkErrorAbortsCampaign: an Accept error aborts the stream under
+// every fan-out and is Stream's error; the sink is offered nothing after
+// the outcome it rejected, and Flush is never called on it.
 func TestSinkErrorAbortsCampaign(t *testing.T) {
 	dev := openDev(t, "p100")
 	w := smallWorkload()
@@ -240,16 +257,17 @@ func TestSinkErrorAbortsCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		spec := DefaultSpec(31)
-		spec.Workers = workers
+	for _, tc := range deliveryCases() {
 		s := &abortingSink{}
-		err := Stream(context.Background(), dev, w, configs, spec, s)
+		err := Stream(context.Background(), dev, w, configs, tc.spec(DefaultSpec(31)), s)
 		if !errors.Is(err, errSinkBoom) {
-			t.Fatalf("workers=%d: err = %v, want sink error", workers, err)
+			t.Fatalf("%s: err = %v, want sink error", tc.name, err)
+		}
+		if s.n != 4 {
+			t.Errorf("%s: sink offered %d outcomes, want 4 (none after the rejected one)", tc.name, s.n)
 		}
 		if s.flushes != 0 {
-			t.Errorf("workers=%d: aborted campaign flushed %d times", workers, s.flushes)
+			t.Errorf("%s: aborted campaign flushed %d times", tc.name, s.flushes)
 		}
 	}
 }

@@ -40,10 +40,11 @@ func NewCampaignFlags(fs *flag.FlagSet) *CampaignFlags {
 
 // Plan validates the parsed group and returns the fault schedule and
 // executor it selects; the caller fills in the device, analytic mode,
-// and policy. workers bounds a fleet round's parallelism. The fleet
-// sizing and chaos flags are rejected under -executor local so a typo'd
-// chaos run cannot silently fall back to a calm local pool.
-func (c *CampaignFlags) Plan(workers int) (fleet.Plan, error) {
+// and policy. A fleet round runs as many shards at once as the
+// campaign's Spec.Workers allows. The fleet sizing and chaos flags are
+// rejected under -executor local so a typo'd chaos run cannot silently
+// fall back to a calm local pool.
+func (c *CampaignFlags) Plan() (fleet.Plan, error) {
 	if c.Reps < 1 {
 		return fleet.Plan{}, fmt.Errorf("-reps must be >= 1 (got %d)", c.Reps)
 	}
@@ -73,7 +74,7 @@ func (c *CampaignFlags) Plan(workers int) (fleet.Plan, error) {
 	if nodes == 0 {
 		nodes = 3
 	}
-	plan.Fleet = &fleet.Options{Nodes: nodes, ShardSize: c.shardSize, Parallelism: workers, Chaos: chaos}
+	plan.Fleet = &fleet.Options{Nodes: nodes, ShardSize: c.shardSize, Chaos: chaos}
 	return plan, nil
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // parseCampaignFlags registers the group on a fresh flag set, parses
-// args, and resolves the plan at the given worker count.
-func parseCampaignFlags(t *testing.T, workers int, args ...string) (*CampaignFlags, fleet.Plan, error) {
+// args, and resolves the plan.
+func parseCampaignFlags(t *testing.T, args ...string) (*CampaignFlags, fleet.Plan, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -20,7 +20,7 @@ func parseCampaignFlags(t *testing.T, workers int, args ...string) (*CampaignFla
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := cf.Plan(workers)
+	plan, err := cf.Plan()
 	return cf, plan, err
 }
 
@@ -49,7 +49,7 @@ func TestCampaignFlagsRejections(t *testing.T) {
 		{[]string{"-reps", "0", "-retries", "-1", "-executor", "cloud"}, "-reps must be >= 1 (got 0)"},
 		{[]string{"-faults", "bogus", "-executor", "cloud"}, `-faults: fault: bad plan field "bogus" (want key=value)`},
 	} {
-		_, _, err := parseCampaignFlags(t, 0, tc.args...)
+		_, _, err := parseCampaignFlags(t, tc.args...)
 		if err == nil {
 			t.Errorf("%v: accepted", tc.args)
 			continue
@@ -62,7 +62,7 @@ func TestCampaignFlagsRejections(t *testing.T) {
 
 // TestCampaignFlagsPlan checks what a valid group resolves to.
 func TestCampaignFlagsPlan(t *testing.T) {
-	cf, plan, err := parseCampaignFlags(t, 4)
+	cf, plan, err := parseCampaignFlags(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCampaignFlagsPlan(t *testing.T) {
 		t.Errorf("default retry policy %+v, want one attempt", got)
 	}
 
-	cf, plan, err = parseCampaignFlags(t, 4, "-reps", "2", "-retries", "3",
+	cf, plan, err = parseCampaignFlags(t, "-reps", "2", "-retries", "3",
 		"-faults", "seed=7,transient=0.25", "-executor", "fleet", "-shardsize", "5",
 		"-nodefaults", "seed=9,preempt=0.5")
 	if err != nil {
@@ -85,7 +85,7 @@ func TestCampaignFlagsPlan(t *testing.T) {
 	if plan.Faults != (fault.Plan{Seed: 7, Transient: 0.25}) {
 		t.Errorf("faults %+v", plan.Faults)
 	}
-	want := fleet.Options{Nodes: 3, ShardSize: 5, Parallelism: 4, Chaos: fleet.Chaos{Seed: 9, Preempt: 0.5}}
+	want := fleet.Options{Nodes: 3, ShardSize: 5, Chaos: fleet.Chaos{Seed: 9, Preempt: 0.5}}
 	if plan.Fleet == nil || *plan.Fleet != want {
 		t.Errorf("fleet %+v, want %+v", plan.Fleet, want)
 	}

@@ -33,12 +33,6 @@ func RenderHTML(ids []string, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	figNames := make([]string, 0, len(figures))
-	for name := range figures {
-		figNames = append(figNames, name)
-	}
-	sortStrings(figNames)
-
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
@@ -58,9 +52,9 @@ h2 { border-bottom: 2px solid #ddd; padding-bottom: 0.2rem; margin-top: 2.2rem; 
 regenerates with <code>epstudy -run &lt;id&gt;</code>.</p>
 `)
 	b.WriteString("<h2>Figures</h2>\n")
-	for _, name := range figNames {
+	for _, f := range figures {
 		fmt.Fprintf(&b, "<figure>%s<figcaption>%s</figcaption></figure>\n",
-			figures[name], template.HTMLEscapeString(name))
+			f.SVG, template.HTMLEscapeString(f.Name))
 	}
 	for _, s := range sections {
 		fmt.Fprintf(&b, "<h2 id=%q>%s — %s</h2>\n",
@@ -87,12 +81,4 @@ regenerates with <code>epstudy -run &lt;id&gt;</code>.</p>
 	}
 	b.WriteString("</body></html>\n")
 	return b.String(), nil
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -44,8 +44,9 @@ type schedReport struct {
 }
 
 // schedFronts sweeps every size once on the device's model-true
-// (analytic) variant and indexes the Pareto front of each.
-func schedFronts(name string, sizes []int, products int) (device.Device, *parindex.Index, error) {
+// (analytic) variant, workers wide, and indexes the Pareto front of
+// each.
+func schedFronts(name string, sizes []int, products, workers int) (device.Device, *parindex.Index, error) {
 	dev, err := device.Open(name)
 	if err != nil {
 		return nil, nil, err
@@ -61,7 +62,7 @@ func schedFronts(name string, sizes []int, products int) (device.Device, *parind
 			return nil, nil, err
 		}
 		sink := campaign.NewIndexSink(idx, name, w)
-		if err := campaign.Stream(context.Background(), dev, w, configs, campaign.Spec{ModelTrue: true}, sink); err != nil {
+		if err := campaign.Stream(context.Background(), dev, w, configs, campaign.Spec{ModelTrue: true, Workers: workers}, sink); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -135,7 +136,7 @@ func runScheduler(opt Options) ([]*Table, error) {
 			"total_time_s", "total_energy_j", "saving_vs_perf_pct"},
 	}
 	for _, name := range []string{"p100", "k40c"} {
-		dev, idx, err := schedFronts(name, sizes, products)
+		dev, idx, err := schedFronts(name, sizes, products, opt.Workers)
 		if err != nil {
 			return nil, err
 		}

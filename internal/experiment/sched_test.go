@@ -9,7 +9,7 @@ var schedTestSizes = []int{4096, 8192}
 // energy-aware.
 func schedPolicies(t *testing.T, name string) [2]schedReport {
 	t.Helper()
-	_, idx, err := schedFronts(name, schedTestSizes, 4)
+	_, idx, err := schedFronts(name, schedTestSizes, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPoliciesMeetDeadlines(t *testing.T) {
 // TestStreamDeterministic: the job stream is a pure function of the
 // seed, and deadlines are never below the fastest time.
 func TestStreamDeterministic(t *testing.T) {
-	_, idx, err := schedFronts("p100", schedTestSizes, 4)
+	_, idx, err := schedFronts("p100", schedTestSizes, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStreamDeterministic(t *testing.T) {
 
 // TestStreamValidation: bad stream arguments are refused.
 func TestStreamValidation(t *testing.T) {
-	_, idx, err := schedFronts("p100", schedTestSizes, 4)
+	_, idx, err := schedFronts("p100", schedTestSizes, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestStreamValidation(t *testing.T) {
 // TestInfeasibleDeadlineFallsBackToFastest: an impossible deadline is
 // reported missed after falling back to the fastest configuration.
 func TestInfeasibleDeadlineFallsBackToFastest(t *testing.T) {
-	_, idx, err := schedFronts("p100", schedTestSizes, 4)
+	_, idx, err := schedFronts("p100", schedTestSizes, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,16 @@ import (
 	"energyprop/internal/plot"
 )
 
-// SVGFigures renders the paper's figures as SVG images keyed by file name
-// (fig1.svg, fig2.svg, fig4.svg, fig6.svg, fig7.svg, fig8.svg).
+// SVGFigure is one rendered figure: its file name and SVG document.
+type SVGFigure struct {
+	Name string
+	SVG  string
+}
+
+// SVGFigures renders the paper's figures as SVG images, in a fixed
+// order: fig1.svg, fig2.svg, fig4.svg, fig6.svg, fig7.svg, fig8.svg.
 // cmd/epstudy's -svgdir flag writes them to disk.
-func SVGFigures(opt Options) (map[string]string, error) {
-	out := map[string]string{}
+func SVGFigures(opt Options) ([]SVGFigure, error) {
 	builders := []struct {
 		name  string
 		build func(Options) (*plot.Plot, error)
@@ -26,6 +31,7 @@ func SVGFigures(opt Options) (map[string]string, error) {
 		{"fig7.svg", svgFig7},
 		{"fig8.svg", svgFig8},
 	}
+	out := make([]SVGFigure, 0, len(builders))
 	for _, b := range builders {
 		p, err := b.build(opt)
 		if err != nil {
@@ -35,7 +41,7 @@ func SVGFigures(opt Options) (map[string]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: rendering %s: %w", b.name, err)
 		}
-		out[b.name] = svg
+		out = append(out, SVGFigure{Name: b.name, SVG: svg})
 	}
 	return out, nil
 }

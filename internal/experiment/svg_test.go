@@ -14,26 +14,26 @@ func TestSVGFiguresRender(t *testing.T) {
 	if len(figs) != len(want) {
 		t.Fatalf("got %d figures, want %d", len(figs), len(want))
 	}
-	for _, name := range want {
-		svg, ok := figs[name]
-		if !ok {
-			t.Errorf("missing %s", name)
-			continue
+	byName := map[string]string{}
+	for i, f := range figs {
+		if f.Name != want[i] {
+			t.Errorf("figure %d is %s, want %s", i, f.Name, want[i])
 		}
-		if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "</svg>") {
-			t.Errorf("%s: not a complete SVG document", name)
+		byName[f.Name] = f.SVG
+		if !strings.HasPrefix(f.SVG, "<svg") || !strings.Contains(f.SVG, "</svg>") {
+			t.Errorf("%s: not a complete SVG document", f.Name)
 		}
-		if len(svg) < 500 {
-			t.Errorf("%s: suspiciously small (%d bytes)", name, len(svg))
+		if len(f.SVG) < 500 {
+			t.Errorf("%s: suspiciously small (%d bytes)", f.Name, len(f.SVG))
 		}
 	}
 	// The front figures must include square markers (the paper's
 	// convention for Pareto points) and circle clouds.
 	for _, name := range []string{"fig2.svg", "fig7.svg", "fig8.svg"} {
-		if !strings.Contains(figs[name], "<circle") {
+		if !strings.Contains(byName[name], "<circle") {
 			t.Errorf("%s: missing configuration cloud", name)
 		}
-		if !strings.Contains(figs[name], "Pareto front") {
+		if !strings.Contains(byName[name], "Pareto front") {
 			t.Errorf("%s: missing front legend", name)
 		}
 	}
@@ -48,9 +48,9 @@ func TestSVGFiguresDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range a {
-		if a[name] != b[name] {
-			t.Errorf("%s: not deterministic", name)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("%s: not deterministic", a[i].Name)
 		}
 	}
 }

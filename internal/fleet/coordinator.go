@@ -9,9 +9,10 @@
 // decisions are made in single-threaded rounds on a virtual clock
 // (Clock), every failure draw is a pure FNV-hashed function of
 // (chaos seed, identity, virtual time) exactly like device.ConfigSeed,
-// and the only concurrency — executing one round's dispatched shards —
-// writes order-indexed results through internal/parallel. A fleet
-// campaign under any chaos schedule therefore produces records
+// and the only concurrency — executing one round's dispatched shards
+// through internal/parallel — commits outcomes to campaign.Job, which
+// delivers them in configuration order whichever shard finishes first.
+// A fleet campaign under any chaos schedule therefore produces records
 // byte-identical to a serial fault-free campaign (the PR 5 invariant,
 // carried up a layer: a point's measurement is a pure function of
 // (campaign seed, config), whichever node runs it, however many times
@@ -39,10 +40,6 @@ type Options struct {
 	ShardSize int
 	// Chaos is the node-failure schedule; the zero value disables it.
 	Chaos Chaos
-	// Parallelism bounds the goroutines executing one round's
-	// dispatched shards; 0 selects GOMAXPROCS. Results are identical
-	// for every value — scheduling is decided before execution.
-	Parallelism int
 	// CordonAfter is the number of consecutive failed health checks
 	// that cordons a node; 0 means DefaultCordonAfter.
 	CordonAfter int
@@ -98,9 +95,6 @@ func (o Options) Validate() error {
 	if o.ShardSize < 0 {
 		return fmt.Errorf("fleet: negative shard size %d", o.ShardSize)
 	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("fleet: negative parallelism %d", o.Parallelism)
-	}
 	if o.CordonAfter < 1 || o.MaxStrikes < 1 || o.StallRounds < 1 || o.MaxRounds < 1 || o.CordonTicks < 1 {
 		return errors.New("fleet: cordon/stall thresholds must be positive")
 	}
@@ -131,7 +125,7 @@ type Stats struct {
 
 // Coordinator is the fleet control plane: it owns the virtual clock,
 // the simulated nodes, and the shard queue, and schedules one campaign
-// at a time (runs through Each serialize on an internal mutex). Each run
+// at a time (runs serialize on an internal mutex). Each run
 // starts from a cold fleet — clock at zero, fresh devices, empty event
 // log — so a run's behaviour is a pure function of (options, chaos
 // seed, item count).
@@ -225,12 +219,16 @@ func (c *Coordinator) resolveShardSize(n int) int {
 }
 
 // run is the scheduling loop: single-threaded rounds on the virtual
-// clock, with only each round's dispatched shard executions fanned out.
+// clock, with only each round's dispatched shard executions fanned out,
+// at most workers at a time (workers < 1 selects GOMAXPROCS; results
+// are identical for every value — scheduling is decided before
+// execution). exec runs one item on its hosting node's device and must
+// be a pure function of the item, not of the node or of wall time.
 // The state lock mu is dropped for step 4 (execution): a shard can run
 // real measurements for seconds, and holding mu across them would
 // serialize every Stats/Events/Nodes reader behind the campaign — the
 // exact hazard the lockorder lint rule exists to catch.
-func (c *Coordinator) run(ctx context.Context, n int, exec func(ctx context.Context, dev device.Device, item int) error) error {
+func (c *Coordinator) run(ctx context.Context, workers, n int, exec func(ctx context.Context, dev device.Device, item int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -351,24 +349,25 @@ func (c *Coordinator) run(ctx context.Context, n int, exec func(ctx context.Cont
 			}
 		}
 
-		// 4. Execute this round's surviving dispatches with mu released,
-		// so readers can snapshot mid-campaign. Results are committed by
-		// item index, so goroutine interleaving is invisible; a
-		// preempted dispatch never runs (its loss was decided above), so
-		// no item executes twice. Nothing else mutates node assignments
-		// until this round's Map returns: runMu keeps other runs out,
-		// and the scheduling loop itself is blocked right here.
+		// 4. Execute this round's surviving dispatches, at most workers
+		// at a time, with mu released so readers can snapshot
+		// mid-campaign. exec commits by item index, so goroutine
+		// interleaving is invisible; a preempted dispatch never runs
+		// (its loss was decided above), so no item executes twice.
+		// Nothing else mutates node assignments until this round's For
+		// returns: runMu keeps other runs out, and the scheduling loop
+		// itself is blocked right here.
 		c.mu.Unlock()
 		if len(batch) > 0 {
 			//lint:ignore lockorder runMu is the campaign admission lock: it serializes whole runs by design, no reader takes it, and the state lock mu is released here
-			_, err := parallel.Map(ctx, c.opts.Parallelism, len(batch), func(ctx context.Context, k int) (struct{}, error) {
+			err := parallel.For(ctx, workers, len(batch), func(ctx context.Context, k int) error {
 				nd := batch[k]
 				for _, item := range nd.assignment.outcomes {
 					if err := exec(ctx, nd.dev, item); err != nil {
-						return struct{}{}, err
+						return err
 					}
 				}
-				return struct{}{}, nil
+				return nil
 			})
 			if err != nil {
 				return err

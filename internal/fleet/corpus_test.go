@@ -22,7 +22,9 @@ var updateCorpus = flag.Bool("update", false, "rewrite testdata/fleet_seeds.json
 // corpus. EventsDigest pins the exact cordon/remediate/preempt
 // interleaving the schedule produced when it was committed: any drift
 // in the simulator — a reordered dispatch, one extra health flap —
-// changes the digest and fails tier-1.
+// changes the digest and fails tier-1. Parallelism is the replaying
+// campaign's Spec.Workers, which bounds how many of a round's shards
+// execute at once.
 type fleetSeedCase struct {
 	Name        string `json:"name"`
 	Device      string `json:"device"`
@@ -88,7 +90,6 @@ func TestFleetRegressionSeeds(t *testing.T) {
 			coord, err := planCoord(tc.Device, plan, Options{
 				Nodes:       tc.Nodes,
 				ShardSize:   tc.ShardSize,
-				Parallelism: tc.Parallelism,
 				CordonAfter: tc.CordonAfter,
 				CordonTicks: 2,
 				Chaos:       chaos,
@@ -97,6 +98,7 @@ func TestFleetRegressionSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := campaign.DefaultSpec(tc.Seed)
+			spec.Workers = tc.Parallelism
 			spec.Executor = Executor{Coord: coord}
 			if tc.Retries > 0 {
 				spec.Retry = fault.RetryPolicy{MaxAttempts: tc.Retries}

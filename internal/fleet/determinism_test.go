@@ -114,7 +114,6 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 					coord, err := planCoord(tc.name, fault.Plan{}, Options{
 						Nodes:       3,
 						ShardSize:   shardSize,
-						Parallelism: parallelism,
 						CordonAfter: 1,
 						CordonTicks: 2,
 						Chaos:       nodeChaos(7),
@@ -123,6 +122,7 @@ func TestFleetByteIdenticalToSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					spec := campaign.DefaultSpec(31)
+					spec.Workers = parallelism
 					spec.Executor = Executor{Coord: coord}
 					got := runRecord(t, openDev(t, tc.name), tc.w, spec)
 					if !bytes.Equal(got, want) {
@@ -225,7 +225,6 @@ func TestPolicyFleetByteIdenticalToSerial(t *testing.T) {
 			coord, err := New(Options{
 				Nodes:       3,
 				ShardSize:   2,
-				Parallelism: 4,
 				CordonAfter: 1,
 				CordonTicks: 2,
 				Chaos:       nodeChaos(7),
@@ -240,6 +239,7 @@ func TestPolicyFleetByteIdenticalToSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := campaign.DefaultSpec(31)
+			spec.Workers = 4
 			spec.Executor = Executor{Coord: coord}
 			got := runRecord(t, openPolicy(t, tc.name), tc.w, spec)
 			if !bytes.Equal(got, want) {
@@ -260,7 +260,6 @@ func TestFleetParallelismInvariance(t *testing.T) {
 		coord, err := planCoord(tc.name, fault.Plan{}, Options{
 			Nodes:       3,
 			ShardSize:   2,
-			Parallelism: parallelism,
 			CordonAfter: 1,
 			Chaos:       nodeChaos(23),
 		})
@@ -268,6 +267,7 @@ func TestFleetParallelismInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := campaign.DefaultSpec(31)
+		spec.Workers = parallelism
 		spec.Executor = Executor{Coord: coord}
 		rec := runRecord(t, openDev(t, tc.name), tc.w, spec)
 		digest := DigestEvents(coord.Events())

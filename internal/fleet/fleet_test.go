@@ -38,17 +38,14 @@ func newCoord(t testing.TB, opts Options, factory DeviceFactory) *Coordinator {
 	return c
 }
 
-// each runs fn over n items through Each, committing the results into
-// a slice in item order; a commit out of item order fails the test.
-func each(t testing.TB, ctx context.Context, c *Coordinator, n int, fn func(ctx context.Context, dev device.Device, item int) (int, error)) ([]int, error) {
-	t.Helper()
-	out := make([]int, 0, n)
-	err := Each(ctx, c, n, fn, func(i, v int) error {
-		if i != len(out) {
-			t.Errorf("item %d committed after %d commits", i, len(out))
-		}
-		out = append(out, v)
-		return nil
+// each runs fn over n items through the coordinator's scheduler, at
+// most workers shards at a time, and returns the results by item.
+func each(ctx context.Context, c *Coordinator, workers, n int, fn func(ctx context.Context, dev device.Device, item int) (int, error)) ([]int, error) {
+	out := make([]int, n)
+	err := c.run(ctx, workers, n, func(ctx context.Context, dev device.Device, item int) error {
+		v, err := fn(ctx, dev, item)
+		out[item] = v
+		return err
 	})
 	return out, err
 }
@@ -74,7 +71,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero nodes", Options{Nodes: 0}},
 		{"negative shard size", Options{Nodes: 2, ShardSize: -1}},
-		{"negative parallelism", Options{Nodes: 2, Parallelism: -1}},
 		{"bad chaos probability", Options{Nodes: 2, Chaos: Chaos{Preempt: 1.5}}},
 		{"nan chaos probability", Options{Nodes: 2, Chaos: Chaos{Flaky: math.NaN()}}},
 		{"negative slow ticks", Options{Nodes: 2, Chaos: Chaos{SlowTicks: -2}}},
@@ -167,7 +163,7 @@ func TestShardItems(t *testing.T) {
 
 func TestMapCalmFleet(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 3}, registryFactory())
-	out, err := each(t, context.Background(), c, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
+	out, err := each(context.Background(), c, 0, 7, func(_ context.Context, dev device.Device, i int) (int, error) {
 		if dev == nil || dev.Name() != "p100" {
 			t.Error("fn did not receive the hosted device")
 		}
@@ -195,7 +191,7 @@ func TestMapCalmFleet(t *testing.T) {
 
 func TestMapZeroItems(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	out, err := each(t, context.Background(), c, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
+	out, err := each(context.Background(), c, 0, 0, func(_ context.Context, _ device.Device, i int) (int, error) {
 		t.Error("fn called for an empty item set")
 		return 0, nil
 	})
@@ -218,7 +214,7 @@ func TestEachItemExecutesExactlyOnce(t *testing.T) {
 	c := newCoord(t, opts, registryFactory())
 	var mu sync.Mutex
 	runs := make([]int, n)
-	if _, err := each(t, context.Background(), c, n, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, n, func(_ context.Context, _ device.Device, i int) (int, error) {
 		mu.Lock()
 		runs[i]++
 		mu.Unlock()
@@ -257,7 +253,7 @@ func TestCordonAndRemediate(t *testing.T) {
 		Chaos:       Chaos{Seed: 3, Flaky: 0.45},
 	}
 	c := newCoord(t, opts, registryFactory())
-	if _, err := each(t, context.Background(), c, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, 12, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -293,7 +289,7 @@ func TestStrikeCordon(t *testing.T) {
 		Chaos:      Chaos{Seed: 5, Preempt: 0.5},
 	}
 	c := newCoord(t, opts, registryFactory())
-	if _, err := each(t, context.Background(), c, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, 10, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -327,7 +323,7 @@ func TestStallAborts(t *testing.T) {
 		Chaos:       Chaos{Seed: 1, Flaky: 1},
 	}
 	c := newCoord(t, opts, registryFactory())
-	_, err := each(t, context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	_, err := each(context.Background(), c, 0, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
@@ -338,7 +334,7 @@ func TestStallAborts(t *testing.T) {
 func TestMapPropagatesFnError(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
 	boom := errors.New("boom")
-	if _, err := each(t, context.Background(), c, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, 6, func(_ context.Context, _ device.Device, i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -352,7 +348,7 @@ func TestMapHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := newCoord(t, Options{Nodes: 2}, registryFactory())
-	if _, err := each(t, ctx, c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(ctx, c, 0, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -364,7 +360,7 @@ func TestFactoryErrorSurfaces(t *testing.T) {
 	c := newCoord(t, Options{Nodes: 2}, func(node string) (device.Device, error) {
 		return nil, bad
 	})
-	if _, err := each(t, context.Background(), c, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, 4, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want factory error", err)
@@ -390,7 +386,7 @@ func TestRemediationReopensDevice(t *testing.T) {
 		Chaos:       Chaos{Seed: 3, Flaky: 0.5},
 	}
 	c := newCoord(t, opts, factory)
-	if _, err := each(t, context.Background(), c, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
+	if _, err := each(context.Background(), c, 0, 8, func(_ context.Context, _ device.Device, i int) (int, error) {
 		return i, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -414,11 +410,10 @@ func TestEventLogReplaysFromSeed(t *testing.T) {
 			Nodes:       3,
 			ShardSize:   2,
 			CordonAfter: 1,
-			Parallelism: parallelism,
 			Chaos:       Chaos{Seed: seed, Preempt: 0.3, Flaky: 0.25, Slow: 0.3},
 		}
 		c := newCoord(t, opts, registryFactory())
-		if _, err := each(t, context.Background(), c, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
+		if _, err := each(context.Background(), c, parallelism, 14, func(_ context.Context, _ device.Device, i int) (int, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)

@@ -29,11 +29,7 @@ func TestPlanPolicyFaultRecordIndependentOfWorkers(t *testing.T) {
 			distinct := map[string]bool{}
 			for run, workers := range []int{1, 64, 64, 64, 64, 64, 64} {
 				plan := Plan{Device: "haswell", Policy: &pol, Faults: fault.Plan{Seed: 3, Transient: 0.4}}
-				if fl != nil {
-					opts := *fl
-					opts.Parallelism = workers
-					plan.Fleet = &opts
-				}
+				plan.Fleet = fl
 				st, err := plan.Open()
 				if err != nil {
 					t.Fatal(err)

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"energyprop/internal/campaign"
@@ -46,7 +48,6 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 				coord, err := planCoord(tc.name, fault.Plan{}, Options{
 					Nodes:       3,
 					ShardSize:   2,
-					Parallelism: parallelism,
 					CordonAfter: 1,
 					CordonTicks: 2,
 					Chaos:       nodeChaos(7),
@@ -55,6 +56,7 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := campaign.DefaultSpec(31)
+				spec.Workers = parallelism
 				spec.Executor = Executor{Coord: coord}
 				got := streamFleetRecord(t, openDev(t, tc.name), tc.w, spec)
 				if !bytes.Equal(got, want) {
@@ -66,13 +68,34 @@ func TestFleetStreamedRecordByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetEachCommitOrder drives fleet.Each directly under chaos and
-// checks the commit contract: items 0..n-1 in strict order, once each.
-func TestFleetEachCommitOrder(t *testing.T) {
+// keySink records the configuration keys it is handed and rejects the
+// outcome at index failAt (never, when failAt < 0).
+type keySink struct {
+	keys    []string
+	failAt  int
+	flushes int
+}
+
+var errKeySink = errors.New("sink rejected point")
+
+func (s *keySink) Accept(o campaign.PointOutcome) error {
+	if len(s.keys) == s.failAt {
+		return errKeySink
+	}
+	s.keys = append(s.keys, o.Key)
+	return nil
+}
+
+func (s *keySink) Flush() error { s.flushes++; return nil }
+
+// streamChaotic streams a p100 campaign through a preempting fleet
+// whose rounds run four shards at once into sink, and returns the
+// configuration keys in order, Stream's error and the fleet's stats.
+func streamChaotic(t *testing.T, sink campaign.Sink) ([]string, Stats, error) {
+	t.Helper()
 	coord, err := planCoord("p100", fault.Plan{}, Options{
 		Nodes:       4,
 		ShardSize:   3,
-		Parallelism: 4,
 		CordonAfter: 1,
 		CordonTicks: 2,
 		Chaos:       nodeChaos(11),
@@ -80,55 +103,48 @@ func TestFleetEachCommitOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 40
-	var got []int
-	err = Each(context.Background(), coord, n,
-		func(ctx context.Context, dev device.Device, item int) (int, error) {
-			return item * 2, nil
-		},
-		func(item, v int) error {
-			if v != item*2 {
-				t.Errorf("commit(%d) got %d", item, v)
-			}
-			got = append(got, item)
-			return nil
-		})
+	dev, w := openDev(t, "p100"), fleetBackends()[0].w
+	configs, err := dev.Configs(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != n {
-		t.Fatalf("committed %d of %d", len(got), n)
+	keys := make([]string, len(configs))
+	for i, c := range configs {
+		keys[i] = c.Key()
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("commit order broken at %d: %v", i, got[:i+1])
-		}
+	spec := campaign.DefaultSpec(31)
+	spec.Workers = 4
+	spec.Executor = Executor{Coord: coord}
+	err = campaign.Stream(context.Background(), dev, w, configs, spec, sink)
+	return keys, coord.Stats(), err
+}
+
+// TestFleetEachCommitOrder: on a preempting fleet whose shards finish
+// out of order, the sink sees every configuration once, in order.
+func TestFleetEachCommitOrder(t *testing.T) {
+	s := &keySink{failAt: -1}
+	want, st, err := streamChaotic(t, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Preemptions == 0 {
+		t.Error("chaos schedule injected no preemptions — the test is vacuous")
+	}
+	if !reflect.DeepEqual(s.keys, want) || s.flushes != 1 {
+		t.Errorf("delivered %v (%d flushes), want %v once", s.keys, s.flushes, want)
 	}
 }
 
-// TestFleetEachCommitErrorAborts: a commit error aborts the run and no
-// later item is committed.
+// TestFleetEachCommitErrorAborts: on the same fleet, a sink error is
+// Stream's error, nothing is delivered after it, and the sink is never
+// flushed.
 func TestFleetEachCommitErrorAborts(t *testing.T) {
-	coord, err := planCoord("p100", fault.Plan{}, Options{Nodes: 3, ShardSize: 2, Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
+	s := &keySink{failAt: 4}
+	want, _, err := streamChaotic(t, s)
+	if !errors.Is(err, errKeySink) {
+		t.Fatalf("err = %v, want the sink's error", err)
 	}
-	var calls []int
-	err = Each(context.Background(), coord, 30,
-		func(ctx context.Context, dev device.Device, item int) (int, error) { return item, nil },
-		func(item, v int) error {
-			calls = append(calls, item)
-			if item == 4 {
-				return context.DeadlineExceeded // any error will do
-			}
-			return nil
-		})
-	if err == nil {
-		t.Fatal("commit error did not abort the run")
-	}
-	for _, i := range calls {
-		if i > 4 {
-			t.Fatalf("commit called for %d after error at 4", i)
-		}
+	if !reflect.DeepEqual(s.keys, want[:4]) || s.flushes != 0 {
+		t.Errorf("delivered %v (%d flushes), want %v and no flush", s.keys, s.flushes, want[:4])
 	}
 }

@@ -9,7 +9,7 @@ const parallelPath = "energyprop/internal/parallel"
 
 // CtxSweep checks the cancellation contract on fan-out entry points:
 // any exported function or method that hands work to internal/parallel
-// (a call whose first parameter is a context.Context, e.g. parallel.Map)
+// (a call whose first parameter is a context.Context, e.g. parallel.For)
 // must itself accept a context.Context and forward it — not mint a fresh
 // context.Background()/TODO() that severs the caller's cancellation.
 // Exhaustive sweeps are exactly the "expensive and may not be feasible"

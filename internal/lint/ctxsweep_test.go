@@ -12,9 +12,9 @@ import (
 )
 
 // Exported fan-out with no way to cancel it: finding.
-func SweepAll(n int) ([]int, error) {
-	return parallel.Map(context.Background(), 0, n, func(ctx context.Context, i int) (int, error) {
-		return i, nil
+func SweepAll(n int) error {
+	return parallel.For(context.Background(), 0, n, func(ctx context.Context, i int) error {
+		return nil
 	})
 }
 `
@@ -33,9 +33,9 @@ import (
 )
 
 // Takes a ctx but severs it: finding on the argument.
-func SweepSevered(ctx context.Context, n int) ([]int, error) {
-	return parallel.Map(context.Background(), 0, n, func(ctx context.Context, i int) (int, error) {
-		return i, nil
+func SweepSevered(ctx context.Context, n int) error {
+	return parallel.For(context.Background(), 0, n, func(ctx context.Context, i int) error {
+		return nil
 	})
 }
 `
@@ -54,25 +54,25 @@ import (
 )
 
 // Forwarding the caller's ctx (possibly wrapped) is the contract.
-func SweepGood(ctx context.Context, n int) ([]int, error) {
+func SweepGood(ctx context.Context, n int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	return parallel.Map(ctx, 0, n, func(ctx context.Context, i int) (int, error) {
-		return i, nil
+	return parallel.For(ctx, 0, n, func(ctx context.Context, i int) error {
+		return nil
 	})
 }
 
 // Unexported helpers may own their context: the exported caller is the
 // enforcement point.
-func sweepInternal(n int) ([]int, error) {
-	return parallel.Map(context.Background(), 0, n, func(ctx context.Context, i int) (int, error) {
-		return i, nil
+func sweepInternal(n int) error {
+	return parallel.For(context.Background(), 0, n, func(ctx context.Context, i int) error {
+		return nil
 	})
 }
 
 // Exported code that only uses non-fan-out parallel helpers needs no ctx.
-func Progressive(total int) *parallel.Progress {
-	return parallel.NewProgress(total, nil)
+func Workers(n int) int {
+	return parallel.DefaultWorkers(0, n)
 }
 `
 	checkFixture(t, []Rule{CtxSweep{}}, "fixture/sweep", src, nil)

@@ -10,20 +10,29 @@ import (
 	"time"
 )
 
+// The TestMap tests pin For's rules for mapping fn over [0, n): every
+// item exactly once, bounded concurrency, lowest-index error,
+// cancellation.
+
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(context.Background(), 4, 0, func(context.Context, int) (int, error) {
+	err := For(context.Background(), 4, 0, func(context.Context, int) error {
 		t.Fatal("fn called for n=0")
-		return 0, nil
+		return nil
 	})
-	if err != nil || out != nil {
-		t.Fatalf("Map(n=0) = %v, %v; want nil, nil", out, err)
+	if err != nil {
+		t.Fatalf("For(n=0) = %v; want nil", err)
 	}
 }
 
+// TestMapOrderPreserved: at any worker count every index in [0, n)
+// runs, so results a caller stores by index come back complete and in
+// index order.
 func TestMapOrderPreserved(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		out, err := Map(context.Background(), workers, 100, func(_ context.Context, i int) (int, error) {
-			return i * i, nil
+		out := make([]int, 100)
+		err := For(context.Background(), workers, len(out), func(_ context.Context, i int) error {
+			out[i] = i * i
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -37,9 +46,10 @@ func TestMapOrderPreserved(t *testing.T) {
 }
 
 func TestMapNilContext(t *testing.T) {
-	out, err := Map[int](nil, 2, 3, func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil || len(out) != 3 {
-		t.Fatalf("nil ctx: %v, %v", out, err)
+	var calls atomic.Int64
+	err := For(nil, 2, 3, func(context.Context, int) error { calls.Add(1); return nil })
+	if err != nil || calls.Load() != 3 {
+		t.Fatalf("nil ctx: %d calls, %v", calls.Load(), err)
 	}
 }
 
@@ -48,11 +58,11 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	// one — the error a serial loop would surface — regardless of
 	// worker count.
 	for _, workers := range []int{1, 4, 16} {
-		_, err := Map(context.Background(), workers, 50, func(_ context.Context, i int) (int, error) {
+		err := For(context.Background(), workers, 50, func(_ context.Context, i int) error {
 			if i >= 10 && i%2 == 0 {
-				return 0, fmt.Errorf("item %d", i)
+				return fmt.Errorf("item %d", i)
 			}
-			return i, nil
+			return nil
 		})
 		if err == nil || err.Error() != "item 10" {
 			t.Fatalf("workers=%d: err = %v, want item 10", workers, err)
@@ -60,21 +70,43 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	}
 }
 
+// TestForLowerItemsKeepContext: a failure cancels the items in flight
+// above it but not those below it, which a serial loop would have
+// finished first. Item 2 starts, item 1 then fails, and item 0, still
+// in flight, must see its context intact once item 2's is cancelled, so
+// the error returned is item 1's, not a cancellation.
+func TestForLowerItemsKeepContext(t *testing.T) {
+	started, cancelled := make(chan struct{}), make(chan struct{})
+	boom := errors.New("item 1")
+	err := For(context.Background(), 3, 3, func(ctx context.Context, i int) error {
+		switch i {
+		case 0:
+			<-cancelled
+			return ctx.Err()
+		case 1:
+			<-started
+			return boom
+		default:
+			close(started)
+			<-ctx.Done()
+			close(cancelled)
+			return ctx.Err()
+		}
+	})
+	if err != boom {
+		t.Fatalf("err = %v, want item 1's", err)
+	}
+}
+
 func TestMapCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	started := make(chan struct{}, 1)
-	_, err := Map(ctx, 2, 1000, func(ctx context.Context, i int) (int, error) {
+	err := For(ctx, 2, 1000, func(context.Context, int) error {
 		if calls.Add(1) == 1 {
-			select {
-			case started <- struct{}{}:
-			default:
-			}
 			cancel()
 		}
-		return i, nil
+		return nil
 	})
-	<-started
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -87,9 +119,9 @@ func TestMapPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := Map(ctx, workers, 10, func(_ context.Context, i int) (int, error) {
+		err := For(ctx, workers, 10, func(context.Context, int) error {
 			t.Error("fn called under cancelled context")
-			return i, nil
+			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -100,7 +132,7 @@ func TestMapPreCancelledContext(t *testing.T) {
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
-	_, err := Map(context.Background(), workers, 60, func(_ context.Context, i int) (int, error) {
+	err := For(context.Background(), workers, 60, func(context.Context, int) error {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -110,7 +142,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 		inFlight.Add(-1)
-		return i, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,11 +155,11 @@ func TestMapBoundsConcurrency(t *testing.T) {
 func TestMapEachItemExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	_, err := Map(context.Background(), 8, 500, func(_ context.Context, i int) (int, error) {
+	err := For(context.Background(), 8, 500, func(_ context.Context, i int) error {
 		mu.Lock()
 		seen[i]++
 		mu.Unlock()
-		return i, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,39 +187,4 @@ func TestDefaultWorkers(t *testing.T) {
 	if got := DefaultWorkers(-5, 0); got != 1 {
 		t.Errorf("DefaultWorkers(-5, 0) = %d, want 1", got)
 	}
-}
-
-func TestProgressSerializedAndComplete(t *testing.T) {
-	// The callback takes no lock of its own: Progress serializes the
-	// calls, so under -race any overlap is a reported data race, and the
-	// counts arrive in order because each is reported under the lock
-	// that assigned it.
-	var dones []int
-	p := NewProgress(40, func(done, total int) {
-		if total != 40 {
-			t.Errorf("total = %d", total)
-		}
-		dones = append(dones, done)
-	})
-	_, err := Map(context.Background(), 8, 40, func(_ context.Context, i int) (int, error) {
-		p.Tick()
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != 40 {
-		t.Fatalf("%d progress ticks, want 40", len(dones))
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("bad done sequence %v", dones)
-		}
-	}
-}
-
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Tick() // must not panic
-	NewProgress(3, nil).Tick()
 }

@@ -72,36 +72,6 @@ func queryInt(r *http.Request, name string) (int, bool, error) {
 	return v, true, nil
 }
 
-// bestOnFront applies parindex.Query semantics to an explicit entry
-// slice: max_time minimizes energy among points at most that slow,
-// max_energy minimizes time among points at most that hungry, both
-// applies both filters and minimizes energy. Used for the policy filter,
-// where the candidates are a subset of the stored front.
-func bestOnFront(entries []parindex.Entry, q parindex.Query) (parindex.Entry, bool) {
-	var best parindex.Entry
-	found := false
-	for _, e := range entries {
-		if q.MaxTime > 0 && e.Time > q.MaxTime {
-			continue
-		}
-		if q.MaxEnergy > 0 && e.Energy > q.MaxEnergy {
-			continue
-		}
-		better := !found
-		if found {
-			if q.MaxTime > 0 {
-				better = e.Energy < best.Energy
-			} else {
-				better = e.Time < best.Time
-			}
-		}
-		if better {
-			best, found = e, true
-		}
-	}
-	return best, found
-}
-
 // handleOptimize answers a constraint query from the incremental Pareto
 // index — the serving path of the streaming pipeline. No measurement
 // runs: the answer is a treap lookup over fronts that /measure and
@@ -194,21 +164,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 				key.Device, key.App, key.N, key.Products))
 			return
 		}
+		// A subset of a front is itself a front, so the policy's points
+		// answer the query exactly as the index would.
 		prefix := "pol=" + pol + "/"
-		var candidates []parindex.Entry
+		var candidates parindex.Front
 		for _, e := range entries {
 			if strings.HasPrefix(e.Config, prefix) {
-				candidates = append(candidates, e)
+				candidates.Insert(e)
 			}
 		}
-		if len(candidates) == 0 {
+		if candidates.Len() == 0 {
 			httpError(w, http.StatusNotFound, fmt.Sprintf(
 				"front holds %d non-dominated points for this workload but none under policy %q — run a policy /sweep, or the other strategy dominates here",
 				len(entries), pol))
 			return
 		}
-		frontSize = len(candidates)
-		best, ok = bestOnFront(candidates, q)
+		frontSize = candidates.Len()
+		best, ok = candidates.Best(q)
 	}
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf(

@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"energyprop/internal/device"
+	"energyprop/internal/parindex"
 	"energyprop/internal/policy"
 	"energyprop/internal/store"
 )
@@ -239,5 +243,98 @@ func TestOptimizePolicyFilter(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unswept policy query: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOptimizePolicyMatchesBruteForce: under a policy filter, /optimize
+// answers max_time, max_energy and both together exactly as a linear
+// scan of the strategy's points on the front does — minimum energy
+// within a time budget, minimum time within an energy budget — and is a
+// 404 when no point qualifies.
+func TestOptimizePolicyMatchesBruteForce(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	w := device.Workload{App: device.AppDense, N: 4096, Products: 8}
+	sweep := postJSON(t, ts.URL+"/sweep", SweepRequest{
+		Device: "p100", Workload: w, Seed: 2,
+		PolicyParams: PolicyParams{Policy: "all"},
+	})
+	if sweep.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d", sweep.StatusCode)
+	}
+	io.Copy(io.Discard, sweep.Body)
+	wl := w.Normalized()
+	entries := srv.index.Entries(parindex.Key{Device: "p100", App: wl.App, N: wl.N, Products: wl.Products})
+
+	scan := func(points []parindex.Entry, q parindex.Query) (parindex.Entry, bool) {
+		var best parindex.Entry
+		found := false
+		for _, e := range points {
+			if (q.MaxTime > 0 && e.Time > q.MaxTime) || (q.MaxEnergy > 0 && e.Energy > q.MaxEnergy) {
+				continue
+			}
+			if !found || (q.MaxTime > 0 && e.Energy < best.Energy) || (q.MaxTime == 0 && e.Time < best.Time) {
+				best, found = e, true
+			}
+		}
+		return best, found
+	}
+	asked := 0
+	for _, pol := range policy.Strategies() {
+		var points []parindex.Entry
+		for _, e := range entries {
+			if strings.HasPrefix(e.Config, "pol="+pol+"/") {
+				points = append(points, e)
+			}
+		}
+		var queries []parindex.Query
+		for i, e := range points {
+			other := points[len(points)-1-i]
+			queries = append(queries,
+				parindex.Query{MaxTime: e.Time},
+				parindex.Query{MaxEnergy: e.Energy},
+				parindex.Query{MaxTime: e.Time, MaxEnergy: other.Energy},
+				parindex.Query{MaxTime: e.Time * 0.999, MaxEnergy: e.Energy * 1.001})
+		}
+		queries = append(queries, parindex.Query{MaxTime: 1e-12}, parindex.Query{MaxEnergy: 1e-12})
+		for _, q := range queries {
+			url := fmt.Sprintf("%s/optimize?device=p100&app=%s&n=%d&products=%d&policy=%s", ts.URL, wl.App, wl.N, wl.Products, pol)
+			if q.MaxTime > 0 {
+				url += "&max_time=" + strconv.FormatFloat(q.MaxTime, 'g', -1, 64)
+			}
+			if q.MaxEnergy > 0 {
+				url += "&max_energy=" + strconv.FormatFloat(q.MaxEnergy, 'g', -1, 64)
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			asked++
+			want, ok := scan(points, q)
+			if !ok {
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("policy=%s %+v: status %d, want 404 (%s)", pol, q, resp.StatusCode, body)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("policy=%s %+v: status %d, want %s (%s)", pol, q, resp.StatusCode, want.Config, body)
+				continue
+			}
+			var out OptimizeResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Config != want.Config || out.FrontSize != len(points) {
+				t.Errorf("policy=%s %+v: answered %s (front %d), brute force %s (front %d)",
+					pol, q, out.Config, out.FrontSize, want.Config, len(points))
+			}
+		}
+	}
+	if asked < 20 {
+		t.Fatalf("only %d queries asked — the policy sweep left too few front points", asked)
 	}
 }

@@ -617,7 +617,7 @@ func sweepFleet(req *SweepRequest) (*fleet.Options, error) {
 	if nodes < 1 || nodes > MaxRequestNodes {
 		return nil, fmt.Errorf("nodes=%d out of range 1..%d", req.Nodes, MaxRequestNodes)
 	}
-	opts := &fleet.Options{Nodes: nodes, ShardSize: req.ShardSize, Parallelism: req.Workers}
+	opts := &fleet.Options{Nodes: nodes, ShardSize: req.ShardSize}
 	if req.NodeFaults != nil {
 		opts.Chaos = req.NodeFaults.chaos()
 	}
