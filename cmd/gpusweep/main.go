@@ -134,7 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// the final rep emits.
 	spec := campaign.Spec{
 		ModelTrue:       true,
-		Seed:            plan.Faults.Seed,
 		Workers:         *workers,
 		Retry:           cf.Retry(),
 		ContinueOnError: true,

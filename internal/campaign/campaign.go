@@ -63,8 +63,7 @@ type Spec struct {
 	// re-measured from a fresh meter (seeded, as always, by
 	// device.ConfigSeed), so a recovered point is byte-identical to one
 	// that succeeded first try. The zero value means one attempt (no
-	// retries). Backoff jitter is deterministic per point — see
-	// fault.RetryPolicy.
+	// retries); retries are immediate — see fault.RetryPolicy.
 	Retry fault.RetryPolicy
 	// ContinueOnError degrades gracefully instead of aborting: a point
 	// that exhausts its retry budget is recorded in Result.Failed with
@@ -84,9 +83,9 @@ type Spec struct {
 	// HalfWidthJ = 0 and Runs = 0. It is the exhaustive model-true sweep
 	// of gpusweep and the scheduler experiment, served by the same cache,
 	// retry, degradation and executor machinery as a measured campaign.
-	// The meter knobs (Measure, NoiseFrac, SpikeProb) are ignored, and
-	// Seed only seeds the retry backoff jitter. Model-true points get
-	// cache keys of their own, so they never alias measured ones.
+	// The meter knobs (Measure, NoiseFrac, SpikeProb) and Seed are
+	// ignored. Model-true points get cache keys of their own, so they
+	// never alias measured ones.
 	ModelTrue bool
 }
 
@@ -224,11 +223,10 @@ func Stream(ctx context.Context, dev device.Device, w device.Workload, configs [
 // (device run, fresh meter, statistical loop), so a retry that succeeds
 // reproduces the fault-free measurement bit-for-bit — the meter seed
 // depends only on (spec.Seed, config), never on the attempt number.
-// Backoff jitter is seeded from the same point identity, keeping retry
-// timing independent of sweep order and worker count.
+// Retries run back to back (see fault.RetryPolicy).
 func (j *Job) retriedPoint(ctx context.Context, dev device.Device, c device.Config, key string, seed int64) (PointReport, error) {
 	var p PointReport
-	attempts, err := j.Spec.Retry.Do(ctx, seed, func(int) error {
+	attempts, err := j.Spec.Retry.Do(ctx, func(int) error {
 		var aerr error
 		p, aerr = j.cachedPoint(ctx, dev, c, key, seed)
 		return aerr

@@ -57,7 +57,10 @@ func TestConfigKeysMatchFormatted(t *testing.T) {
 
 // TestKeySeedMatchesFNV pins the inlined hash behind KeySeed (and so
 // ConfigSeed) to hash/fnv's FNV-1a over the little-endian seed and the
-// key bytes, the form every meter seed has been derived with.
+// key bytes, the form every meter seed has been derived with, and
+// AttemptSeed to the same hash continued over the little-endian
+// counter, the form every fault and fleet-chaos draw has been derived
+// with.
 func TestKeySeedMatchesFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	seeds := []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64}
@@ -78,12 +81,24 @@ func TestKeySeedMatchesFNV(t *testing.T) {
 		if got, want := KeySeed(seed, string(key)), int64(h.Sum64()); got != want {
 			t.Fatalf("KeySeed(%d, %q) = %d, want %d", seed, key, got, want)
 		}
+		n := int64(rng.Uint64())
+		if i%3 == 0 {
+			n = int64(i % 5)
+		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(n))
+		h.Write(buf[:])
+		if got, want := AttemptSeed(seed, string(key), n), int64(h.Sum64()); got != want {
+			t.Fatalf("AttemptSeed(%d, %q, %d) = %d, want %d", seed, key, n, got, want)
+		}
 	}
 	c := GPUPoint{C: gpusim.MatMulConfig{BS: 24, G: 1, R: 8}}
 	if got, want := ConfigSeed(7, c), KeySeed(7, c.Key()); got != want {
 		t.Errorf("ConfigSeed = %d, KeySeed = %d", got, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = KeySeed(7, "contiguous/p=2/t=12") }); n != 0 {
-		t.Errorf("KeySeed allocates %.0f times", n)
+	if n := testing.AllocsPerRun(100, func() {
+		_ = KeySeed(7, "contiguous/p=2/t=12")
+		_ = AttemptSeed(7, "contiguous/p=2/t=12", 3)
+	}); n != 0 {
+		t.Errorf("KeySeed and AttemptSeed allocate %.0f times", n)
 	}
 }

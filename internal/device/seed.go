@@ -22,14 +22,28 @@ func ConfigSeed(seed int64, c Config) int64 { return KeySeed(seed, c.Key()) }
 // bit for bit. The hash is inlined, so deriving a seed allocates
 // nothing.
 func KeySeed(seed int64, key string) int64 {
-	h := uint64(fnvOffset64)
-	for u, i := uint64(seed), 0; i < 8; i, u = i+1, u>>8 {
-		h ^= u & 0xff
-		h *= fnvPrime64
-	}
+	h := fnvWord(fnvOffset64, uint64(seed))
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= fnvPrime64
 	}
 	return int64(h)
+}
+
+// AttemptSeed is KeySeed continued over the little-endian bytes of n:
+// the seed of the n-th draw for one identity — a fault injector's Run
+// attempt, a fleet node's health tick, a shard's dispatch. KeySeed and
+// AttemptSeed are the only seed hashes, so every meter, fault and
+// fleet-chaos draw is a pure function of (seed, identity, counter).
+func AttemptSeed(seed int64, key string, n int64) int64 {
+	return int64(fnvWord(uint64(KeySeed(seed, key)), uint64(n)))
+}
+
+// fnvWord continues FNV-1a state h over the 8 little-endian bytes of u.
+func fnvWord(h, u uint64) uint64 {
+	for i := 0; i < 8; i, u = i+1, u>>8 {
+		h ^= u & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }

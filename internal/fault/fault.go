@@ -6,13 +6,14 @@
 // stretch wall-clock time.
 //
 // The injector wraps any device.Device. Its fault schedule is a pure
-// function of (plan seed, configuration key, attempt number), hashed the
-// same way device.ConfigSeed derives meter seeds: no wall clock, no
-// global rand, no dependence on sweep order or worker count. Replaying a
-// plan against the same call sequence reproduces the exact same faults,
-// which is what makes the chaos harness's core invariant testable —
-// points that survive injection (directly or after retries) are
-// byte-identical to a fault-free campaign.
+// function of (plan seed, configuration key, attempt number), hashed by
+// device.AttemptSeed — device.ConfigSeed's hash continued over the
+// attempt: no wall clock, no global rand, no dependence on sweep order
+// or worker count. Replaying a plan against the same call sequence
+// reproduces the exact same faults, which is what makes the chaos
+// harness's core invariant testable — points that survive injection
+// (directly or after retries) are byte-identical to a fault-free
+// campaign.
 //
 // Fault taxonomy (one class is drawn per Run attempt, classes are
 // mutually exclusive; latency is orthogonal and can accompany any draw):
@@ -37,10 +38,8 @@ package fault
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -100,22 +99,6 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("fault: negative latency %v", p.Latency)
 	}
 	return nil
-}
-
-// attemptSeed hashes (plan seed, configuration key, attempt) into the
-// rng seed for one Run attempt's fault draws — FNV-1a over the
-// little-endian seed, the key bytes, and the little-endian attempt,
-// mirroring device.ConfigSeed so the schedule is a pure function of
-// identities, never of sweep order or wall clock.
-func attemptSeed(seed int64, key string, attempt int) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(key))
-	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
-	h.Write(buf[:])
-	return int64(h.Sum64())
 }
 
 // Stats counts the faults a Device has injected. Counters are totals
@@ -214,7 +197,7 @@ const (
 // documented order (class, window position, latency fraction) so every
 // decision is reproducible from the attempt seed alone.
 func (f *Device) draw(key string, attempt int) (class int, windowFrac float64, delay time.Duration) {
-	rng := randsrc.Get(attemptSeed(f.plan.Seed, key, attempt))
+	rng := randsrc.Get(device.AttemptSeed(f.plan.Seed, key, int64(attempt)))
 	defer randsrc.Put(rng)
 	u := rng.Float64()
 	switch {

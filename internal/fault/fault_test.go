@@ -243,14 +243,14 @@ func TestAttemptSeedDistinct(t *testing.T) {
 	seen := map[int64]string{}
 	for _, key := range []string{"bs=1/g=1/r=1", "bs=2/g=1/r=1", "contiguous/p=1/t=1"} {
 		for attempt := 1; attempt <= 4; attempt++ {
-			s := attemptSeed(42, key, attempt)
+			s := device.AttemptSeed(42, key, int64(attempt))
 			if prev, dup := seen[s]; dup {
 				t.Fatalf("seed collision between %q#%d and %s", key, attempt, prev)
 			}
 			seen[s] = key
 		}
 	}
-	if attemptSeed(1, "k", 1) == attemptSeed(2, "k", 1) {
+	if device.AttemptSeed(1, "k", 1) == device.AttemptSeed(2, "k", 1) {
 		t.Error("plan seed does not separate schedules")
 	}
 }

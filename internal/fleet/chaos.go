@@ -1,20 +1,20 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
 
+	"energyprop/internal/device"
 	"energyprop/internal/randsrc"
 )
 
 // Chaos is the fleet's deterministic node-failure schedule — the
 // node-level analog of fault.Plan. Every draw is a pure function of
-// (Seed, identity, virtual time), hashed the same FNV-1a way
-// device.ConfigSeed derives meter seeds, so a chaos-ridden fleet
+// (Seed, identity, virtual time): its rng seed is device.AttemptSeed
+// over the draw kind and the identity, NUL-separated, and the counter,
+// so a preempt draw never aliases a health draw and a chaos-ridden fleet
 // campaign replays the exact same preemptions, health flaps, and slow
 // shards from its seed alone: no wall clock, no global rand, no
 // dependence on goroutine scheduling.
@@ -83,25 +83,6 @@ func (c Chaos) slowTicks() Tick {
 	return DefaultSlowTicks
 }
 
-// drawSeed hashes (chaos seed, draw kind, identity, counter) into the
-// rng seed for one decision — FNV-1a over the little-endian seed, the
-// kind and identity bytes, and the little-endian counter, mirroring
-// device.ConfigSeed and fault.Plan's attempt seeds. Each decision class
-// gets its own kind string so a preempt draw can never alias a health
-// draw.
-func drawSeed(seed int64, kind, identity string, counter int64) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(identity))
-	binary.LittleEndian.PutUint64(buf[:], uint64(counter))
-	h.Write(buf[:])
-	return int64(h.Sum64())
-}
-
 // drawFloat returns the first Float64 of the generator seeded with seed;
 // each chaos decision is one such draw.
 func drawFloat(seed int64) float64 {
@@ -116,7 +97,7 @@ func (c Chaos) healthOK(node string, t Tick) bool {
 	if c.Flaky <= 0 {
 		return true
 	}
-	return drawFloat(drawSeed(c.Seed, "health", node, int64(t))) >= c.Flaky
+	return drawFloat(device.AttemptSeed(c.Seed, "health\x00"+node, int64(t))) >= c.Flaky
 }
 
 // preempted reports whether a shard's k-th dispatch is lost mid-flight.
@@ -127,7 +108,7 @@ func (c Chaos) preempted(shard, attempt int) bool {
 	if c.Preempt <= 0 {
 		return false
 	}
-	return drawFloat(drawSeed(c.Seed, "preempt", strconv.Itoa(shard), int64(attempt))) < c.Preempt
+	return drawFloat(device.AttemptSeed(c.Seed, "preempt\x00"+strconv.Itoa(shard), int64(attempt))) < c.Preempt
 }
 
 // slowExtra returns the extra virtual ticks a dispatch runs slow by
@@ -137,7 +118,7 @@ func (c Chaos) slowExtra(node string, shard, attempt int) Tick {
 	if c.Slow <= 0 {
 		return 0
 	}
-	if drawFloat(drawSeed(c.Seed, "slow", node+"/"+strconv.Itoa(shard), int64(attempt))) < c.Slow {
+	if drawFloat(device.AttemptSeed(c.Seed, "slow\x00"+node+"/"+strconv.Itoa(shard), int64(attempt))) < c.Slow {
 		return c.slowTicks()
 	}
 	return 0

@@ -7,10 +7,10 @@
 //
 // The whole simulation is deterministic by construction. Scheduling
 // decisions are made in single-threaded rounds on a virtual clock
-// (Clock), every failure draw is a pure FNV-hashed function of
-// (chaos seed, identity, virtual time) exactly like device.ConfigSeed,
-// and the only concurrency — executing one round's dispatched shards
-// through internal/parallel — commits outcomes to campaign.Job, which
+// (Clock), every failure draw is seeded by device.AttemptSeed, a pure
+// function of (chaos seed, identity, virtual time), and the only
+// concurrency — executing one round's dispatched shards through
+// internal/parallel — commits outcomes to campaign.Job, which
 // delivers them in configuration order whichever shard finishes first.
 // A fleet campaign under any chaos schedule therefore produces records
 // byte-identical to a serial fault-free campaign (the PR 5 invariant,

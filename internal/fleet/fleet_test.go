@@ -133,7 +133,7 @@ func TestDrawsArePureFunctions(t *testing.T) {
 	// counter) pair feeds different draw kinds.
 	same := 0
 	for i := 0; i < 64; i++ {
-		if drawSeed(1, "health", "node0", int64(i)) == drawSeed(1, "preempt", "node0", int64(i)) {
+		if device.AttemptSeed(1, "health\x00node0", int64(i)) == device.AttemptSeed(1, "preempt\x00node0", int64(i)) {
 			same++
 		}
 	}

@@ -108,7 +108,7 @@ func (p Plan) base() (device.Device, error) {
 // the same schedule shape with a seed hashed per node, so two nodes
 // never replay identical device-level fault sequences.
 func NodePlan(plan fault.Plan, node string) fault.Plan {
-	plan.Seed = drawSeed(plan.Seed, "devplan", node, 0)
+	plan.Seed = device.AttemptSeed(plan.Seed, "devplan\x00"+node, 0)
 	return plan
 }
 

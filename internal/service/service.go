@@ -317,9 +317,9 @@ func requestContext(r *http.Request, timeoutMS int64) (context.Context, context.
 	return ctx, cancel, nil
 }
 
-// retryPolicy validates a request's retry budget. Service retries are
-// immediate (no backoff sleep): the request deadline bounds total time,
-// and parking a handler goroutine in sleeps would only burn it.
+// retryPolicy validates a request's retry budget. Retries are
+// immediate, as all fault.RetryPolicy retries are; the request deadline
+// bounds their total time.
 func retryPolicy(retries int) (fault.RetryPolicy, error) {
 	if retries < 0 || retries > MaxRequestRetries {
 		return fault.RetryPolicy{}, fmt.Errorf("retries=%d out of range 0..%d", retries, MaxRequestRetries)

@@ -107,34 +107,51 @@ func (c *CampaignRecord) Validate() error {
 	}
 	seen := make(map[string]bool, len(c.Results)+len(c.Failed))
 	for i, r := range c.Results {
-		if r.Config == "" {
-			return fmt.Errorf("store: result %d has empty config key", i)
-		}
-		if seen[r.Config] {
-			return fmt.Errorf("store: duplicate config %q", r.Config)
-		}
-		seen[r.Config] = true
-		if r.Seconds <= 0 || r.DynEnergyJ <= 0 {
-			return fmt.Errorf("store: result %d (%s) has non-positive measurements", i, r.Config)
-		}
-		if r.Attempts < 0 {
-			return fmt.Errorf("store: result %d (%s) has negative attempts", i, r.Config)
+		if err := checkResult(i, r, seen); err != nil {
+			return err
 		}
 	}
 	for i, f := range c.Failed {
-		if f.Config == "" {
-			return fmt.Errorf("store: failed point %d has empty config key", i)
+		if err := checkFailed(i, f, seen); err != nil {
+			return err
 		}
-		if seen[f.Config] {
-			return fmt.Errorf("store: duplicate config %q", f.Config)
-		}
-		seen[f.Config] = true
-		if f.Error == "" {
-			return fmt.Errorf("store: failed point %d (%s) has empty error", i, f.Config)
-		}
-		if f.Attempts < 0 {
-			return fmt.Errorf("store: failed point %d (%s) has negative attempts", i, f.Config)
-		}
+	}
+	return nil
+}
+
+// checkResult checks result i of a record and marks its configuration
+// seen: Validate applies it on load, CampaignWriter at write time.
+func checkResult(i int, r MeasuredPoint, seen map[string]bool) error {
+	if r.Config == "" {
+		return fmt.Errorf("store: result %d has empty config key", i)
+	}
+	if seen[r.Config] {
+		return fmt.Errorf("store: duplicate config %q", r.Config)
+	}
+	seen[r.Config] = true
+	if r.Seconds <= 0 || r.DynEnergyJ <= 0 {
+		return fmt.Errorf("store: result %d (%s) has non-positive measurements", i, r.Config)
+	}
+	if r.Attempts < 0 {
+		return fmt.Errorf("store: result %d (%s) has negative attempts", i, r.Config)
+	}
+	return nil
+}
+
+// checkFailed is checkResult for failed point i.
+func checkFailed(i int, f FailedPoint, seen map[string]bool) error {
+	if f.Config == "" {
+		return fmt.Errorf("store: failed point %d has empty config key", i)
+	}
+	if seen[f.Config] {
+		return fmt.Errorf("store: duplicate config %q", f.Config)
+	}
+	seen[f.Config] = true
+	if f.Error == "" {
+		return fmt.Errorf("store: failed point %d (%s) has empty error", i, f.Config)
+	}
+	if f.Attempts < 0 {
+		return fmt.Errorf("store: failed point %d (%s) has negative attempts", i, f.Config)
 	}
 	return nil
 }

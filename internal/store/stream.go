@@ -22,9 +22,9 @@ import (
 // records given-up points (buffered — the schema puts "failed" after
 // "results" — but failures are bounded by the configuration count, not
 // the sample count, so this never materializes measurement data), and
-// Close finishes the document. Validation matches
-// CampaignRecord.Validate piecewise: bad points are rejected at write
-// time, and Close fails on an empty campaign. Any error is sticky:
+// Close finishes the document. Each entry passes the checks
+// CampaignRecord.Validate applies on load: bad points are rejected at
+// write time, and Close fails on an empty campaign. Any error is sticky:
 // after a failed write the writer refuses further output, so a
 // half-written document cannot be mistaken for a record.
 type CampaignWriter struct {
@@ -144,24 +144,6 @@ func (cw *CampaignWriter) flush(data []byte) error {
 	return nil
 }
 
-// validatePoint applies the per-result checks of
-// CampaignRecord.Validate at write time.
-func (cw *CampaignWriter) validatePoint(p MeasuredPoint) error {
-	if p.Config == "" {
-		return fmt.Errorf("store: result %d has empty config key", cw.results)
-	}
-	if cw.seen[p.Config] {
-		return fmt.Errorf("store: duplicate config %q", p.Config)
-	}
-	if p.Seconds <= 0 || p.DynEnergyJ <= 0 {
-		return fmt.Errorf("store: result %d (%s) has non-positive measurements", cw.results, p.Config)
-	}
-	if p.Attempts < 0 {
-		return fmt.Errorf("store: result %d (%s) has negative attempts", cw.results, p.Config)
-	}
-	return nil
-}
-
 // WritePoint appends one measured point to the record's results array.
 // The point is encoded by appendPoint into reused scratch, or by
 // encoding/json when appendPoint declines it; the bytes are the same.
@@ -172,7 +154,7 @@ func (cw *CampaignWriter) WritePoint(p MeasuredPoint) error {
 	if cw.closed {
 		return errors.New("store: write after Close")
 	}
-	if err := cw.validatePoint(p); err != nil {
+	if err := checkResult(cw.results, p, cw.seen); err != nil {
 		cw.err = err
 		return err
 	}
@@ -200,7 +182,6 @@ func (cw *CampaignWriter) WritePoint(p MeasuredPoint) error {
 		b = buf.Bytes()
 	}
 	cw.scratch = b
-	cw.seen[p.Config] = true
 	cw.results++
 	return cw.flush(b)
 }
@@ -215,24 +196,10 @@ func (cw *CampaignWriter) WriteFailed(f FailedPoint) error {
 	if cw.closed {
 		return errors.New("store: write after Close")
 	}
-	i := len(cw.failed)
-	if f.Config == "" {
-		cw.err = fmt.Errorf("store: failed point %d has empty config key", i)
-		return cw.err
+	if err := checkFailed(len(cw.failed), f, cw.seen); err != nil {
+		cw.err = err
+		return err
 	}
-	if cw.seen[f.Config] {
-		cw.err = fmt.Errorf("store: duplicate config %q", f.Config)
-		return cw.err
-	}
-	if f.Error == "" {
-		cw.err = fmt.Errorf("store: failed point %d (%s) has empty error", i, f.Config)
-		return cw.err
-	}
-	if f.Attempts < 0 {
-		cw.err = fmt.Errorf("store: failed point %d (%s) has negative attempts", i, f.Config)
-		return cw.err
-	}
-	cw.seen[f.Config] = true
 	cw.failed = append(cw.failed, f)
 	return nil
 }
