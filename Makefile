@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint loc bench-baseline bench-gate cache-sanity
+.PHONY: build test race vet lint loc bench-gate cache-sanity
 
 build:
 	$(GO) build ./...
@@ -26,22 +26,11 @@ loc:
 	@printf 'non-test %s\n' "$$(git ls-files '*.go' ':!:bench/' ':!:*_test.go' | xargs cat | wc -l)"
 	@printf 'test     %s\n' "$$(git ls-files '*_test.go' ':!:bench/' | xargs cat | wc -l)"
 
-# bench-baseline snapshots the whole benchmark suite (one iteration per
-# benchmark keeps it fast; allocs/op is iteration-count independent) as
-# BENCH_2.json via cmd/benchjson. BENCH_0.json and BENCH_1.json are the
-# previous committed baselines and stay frozen, so `benchjson -diff
-# BENCH_1.json BENCH_2.json` shows the intentional movement between the
-# two newest committed snapshots (here: the zero-alloc hot-path work).
-# Commit the refreshed BENCH_2.json when a PR intentionally moves a hot
-# path; CI re-emits the current run as an artifact so any drift is
-# visible in review, and `benchjson -gate BENCH_BUDGET.json` holds the
-# headline benchmarks to explicit allocs/op budgets.
-bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... | $(GO) run ./cmd/benchjson > BENCH_2.json
-
-# bench-gate replays the suite and enforces the committed allocs/op
-# budgets — the deterministic benchmark metric — without touching the
-# committed baselines.
+# bench-gate runs the whole benchmark suite once (one iteration per
+# benchmark keeps it fast; allocs/op is iteration-count independent),
+# converts it to JSON via cmd/benchjson, and enforces the committed
+# allocs/op budgets in BENCH_BUDGET.json — the deterministic benchmark
+# metric.
 bench-gate:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./... | $(GO) run ./cmd/benchjson > /tmp/bench-current.json
 	$(GO) run ./cmd/benchjson -gate BENCH_BUDGET.json /tmp/bench-current.json

@@ -3,20 +3,11 @@
 // (iterations, ns/op, B/op, allocs/op). It reads the benchmark text on
 // stdin and writes JSON to stdout, so a repo-wide baseline is one pipe:
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | benchjson > BENCH_0.json
+//	go test -run '^$' -bench . -benchmem -benchtime 1x ./... | benchjson > bench-current.json
 //
-// The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so baselines
-// diff cleanly across machines; the package path prefix keeps same-named
+// The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so results
+// compare across machines; the package path prefix keeps same-named
 // benchmarks in different packages apart.
-//
-// With -diff, benchjson instead compares two baseline files:
-//
-//	benchjson -diff BENCH_0.json bench-current.json
-//
-// printing a per-benchmark delta table sorted by ns/op regression
-// (worst first), with added and removed benchmarks called out. The diff
-// is informational — single-shot CI timings are too noisy to gate on —
-// but allocs/op changes on zero-alloc benchmarks read directly.
 //
 // With -gate, benchjson enforces allocs/op budgets — the one benchmark
 // metric that is deterministic enough to fail CI on:
@@ -31,7 +22,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -42,16 +32,12 @@ import (
 )
 
 func main() {
-	diff := flag.Bool("diff", false, "compare two baseline files: benchjson -diff old.json new.json")
 	gate := flag.Bool("gate", false, "enforce allocs/op budgets: benchjson -gate budget.json current.json")
 	flag.Usage = func() {
-		cli.Errorf(os.Stderr, "usage: benchjson [-diff old.json new.json | -gate budget.json current.json]\n")
+		cli.Errorf(os.Stderr, "usage: benchjson [-gate budget.json current.json]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *diff {
-		os.Exit(runDiff(flag.Args(), os.Stdout, os.Stderr))
-	}
 	if *gate {
 		os.Exit(runGate(flag.Args(), os.Stdout, os.Stderr))
 	}
@@ -60,7 +46,7 @@ func main() {
 
 // Result is one benchmark's parsed metrics. The byte and allocation
 // fields are emitted even when zero: a zero-alloc benchmark's 0
-// allocs/op is exactly the number a baseline diff must not lose (a
+// allocs/op is exactly the number a budget gate must not lose (a
 // formerly-omitted zero reads the same as "not measured").
 type Result struct {
 	Iterations  int64   `json:"iterations"`
@@ -171,33 +157,6 @@ func trimProcSuffix(name string) string {
 	return name[:i]
 }
 
-// runDiff implements -diff: load two baselines and print the delta
-// table. It exits non-zero only on usage or I/O errors — timing noise
-// makes per-run deltas informational, not a gate.
-func runDiff(args []string, stdout, stderr io.Writer) int {
-	if len(args) != 2 {
-		cli.Errorf(stderr, "benchjson: -diff needs exactly two files: old.json new.json\n")
-		return 2
-	}
-	oldRes, err := loadBaseline(args[0])
-	if err != nil {
-		cli.Errorf(stderr, "benchjson: %v\n", err)
-		return 1
-	}
-	newRes, err := loadBaseline(args[1])
-	if err != nil {
-		cli.Errorf(stderr, "benchjson: %v\n", err)
-		return 1
-	}
-	out := cli.NewWriter(stdout)
-	printDiff(out, oldRes, newRes)
-	if err := out.Err(); err != nil {
-		cli.Errorf(stderr, "benchjson: writing diff: %v\n", err)
-		return 1
-	}
-	return 0
-}
-
 // loadBaseline reads one baseline JSON file.
 func loadBaseline(path string) (map[string]Result, error) {
 	data, err := os.ReadFile(path)
@@ -269,64 +228,4 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// diffRow is one benchmark's old/new pairing.
-type diffRow struct {
-	name     string
-	old, cur Result
-	ratio    float64 // new ns/op over old; >1 is a regression
-}
-
-// printDiff renders the delta table, worst ns/op regression first, then
-// the added/removed benchmark lists.
-func printDiff(out *cli.Writer, oldRes, newRes map[string]Result) {
-	var rows []diffRow
-	var added, removed []string
-	for name, cur := range newRes {
-		old, ok := oldRes[name]
-		if !ok {
-			added = append(added, name)
-			continue
-		}
-		r := diffRow{name: name, old: old, cur: cur}
-		if old.NsPerOp > 0 {
-			r.ratio = cur.NsPerOp / old.NsPerOp
-		}
-		rows = append(rows, r)
-	}
-	for name := range oldRes {
-		if _, ok := newRes[name]; !ok {
-			removed = append(removed, name)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		//lint:ignore floateq sort tie-break: equal ratios fall through to the name ordering, which needs exact equality to stay deterministic
-		if rows[i].ratio != rows[j].ratio {
-			return rows[i].ratio > rows[j].ratio
-		}
-		return rows[i].name < rows[j].name
-	})
-	sort.Strings(added)
-	sort.Strings(removed)
-
-	out.Printf("%-60s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs/op")
-	for _, r := range rows {
-		delta := "n/a"
-		if r.ratio > 0 {
-			delta = fmt.Sprintf("%+.1f%%", (r.ratio-1)*100)
-		}
-		oldAllocs := fmt.Sprintf("%.0f", r.old.AllocsPerOp)
-		allocs := fmt.Sprintf("%.0f", r.cur.AllocsPerOp)
-		if allocs != oldAllocs {
-			allocs = oldAllocs + "->" + allocs
-		}
-		out.Printf("%-60s %14.1f %14.1f %8s %10s\n", r.name, r.old.NsPerOp, r.cur.NsPerOp, delta, allocs)
-	}
-	for _, name := range added {
-		out.Printf("added:   %s\n", name)
-	}
-	for _, name := range removed {
-		out.Printf("removed: %s\n", name)
-	}
 }

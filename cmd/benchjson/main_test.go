@@ -116,51 +116,6 @@ func writeBaseline(t *testing.T, res map[string]Result) string {
 	return path
 }
 
-func TestDiffSortsWorstRegressionFirst(t *testing.T) {
-	old := writeBaseline(t, map[string]Result{
-		"pkg.BenchmarkStable":  {Iterations: 100, NsPerOp: 1000, AllocsPerOp: 0},
-		"pkg.BenchmarkSlower":  {Iterations: 100, NsPerOp: 1000, AllocsPerOp: 2},
-		"pkg.BenchmarkDropped": {Iterations: 100, NsPerOp: 500},
-	})
-	cur := writeBaseline(t, map[string]Result{
-		"pkg.BenchmarkStable": {Iterations: 100, NsPerOp: 1010, AllocsPerOp: 0},
-		"pkg.BenchmarkSlower": {Iterations: 100, NsPerOp: 3000, AllocsPerOp: 5},
-		"pkg.BenchmarkNew":    {Iterations: 100, NsPerOp: 200},
-	})
-	var out, errBuf bytes.Buffer
-	if code := runDiff([]string{old, cur}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d, stderr %q (the diff is informational, exit must be 0)", code, errBuf.String())
-	}
-	text := out.String()
-	slower := strings.Index(text, "pkg.BenchmarkSlower")
-	stable := strings.Index(text, "pkg.BenchmarkStable")
-	if slower < 0 || stable < 0 || slower > stable {
-		t.Fatalf("3x regression must sort before the 1%% one:\n%s", text)
-	}
-	if !strings.Contains(text, "+200.0%") {
-		t.Errorf("missing delta for the 3x regression:\n%s", text)
-	}
-	if !strings.Contains(text, "2->5") {
-		t.Errorf("allocs/op change not called out:\n%s", text)
-	}
-	if !strings.Contains(text, "added:   pkg.BenchmarkNew") ||
-		!strings.Contains(text, "removed: pkg.BenchmarkDropped") {
-		t.Errorf("added/removed benchmarks not listed:\n%s", text)
-	}
-}
-
-func TestDiffUsageAndMissingFile(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := runDiff([]string{"only-one.json"}, &out, &errBuf); code != 2 {
-		t.Errorf("one arg: exit %d, want 2", code)
-	}
-	errBuf.Reset()
-	ok := writeBaseline(t, map[string]Result{"pkg.BenchmarkA": {Iterations: 1, NsPerOp: 1}})
-	if code := runDiff([]string{ok, filepath.Join(t.TempDir(), "absent.json")}, &out, &errBuf); code != 1 {
-		t.Errorf("missing file: exit %d, want 1 (stderr %q)", code, errBuf.String())
-	}
-}
-
 func writeJSON(t *testing.T, name string, v any) string {
 	t.Helper()
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -226,8 +181,8 @@ func TestGateUsageAndBadFiles(t *testing.T) {
 }
 
 // TestZeroAllocFieldsAreEmitted: a zero-alloc benchmark's bytes and
-// allocs must appear in the JSON (no omitempty) so baseline diffs and
-// budget gates can see the zero.
+// allocs must appear in the JSON (no omitempty) so budget gates can
+// see the zero.
 func TestZeroAllocFieldsAreEmitted(t *testing.T) {
 	input := `pkg: energyprop
 BenchmarkGemmBlockedTiled256-8 	       5	  12233229 ns/op	 128.57 MB/s	       0 B/op	       0 allocs/op

@@ -281,41 +281,147 @@ func TestTracedMatchesSortOracle(t *testing.T) {
 	t.Logf("%d traced runs bit-identical to the sort oracle", runs)
 }
 
-// TestBucketSortMatchesSlicesSort: the scheduler's bucket sort orders any
-// input exactly as slices.Sort does — random spreads, heavy duplicates,
-// all-equal inputs, a single element, and a clustered spread whose
-// buckets are mostly empty.
-func TestBucketSortMatchesSlicesSort(t *testing.T) {
+// mergeSteps is the step merge the bucket walk replaced, kept as its
+// oracle: it walks the ascending slot starts and the drain times, sorted
+// ascending, together, and a step starting at t absorbs every remaining
+// edge at or before t+minStep.
+func mergeSteps(fillWindow float64, drains []float64, minStep float64) []TracePoint {
+	active := len(drains)
+	var out []TracePoint
+	occ := 0
+	for i, k := 0, 0; i < active || k < active; {
+		t := math.Inf(1)
+		if i < active {
+			t = slotStart(fillWindow, i, active)
+		}
+		if k < active && drains[k] < t {
+			t = drains[k]
+		}
+		for i < active && slotStart(fillWindow, i, active) <= t+minStep {
+			occ++
+			i++
+		}
+		for k < active && drains[k] <= t+minStep {
+			occ--
+			k++
+		}
+		out = append(out, TracePoint{Seconds: t, ActiveSlots: occ})
+	}
+	return out
+}
+
+// TestWalkMatchesSortedMerge: the bucket walk emits exactly the steps
+// that slices.Sort plus mergeSteps give, on synthetic drains the
+// catalog devices never produce — a fill window many steps wide, all
+// equal drains and heavy duplicates, drains landing exactly on a step's
+// threshold, one slot, drains at the first start, a far outlier over a
+// tight cluster, and more slots than the catalog jitter table — under
+// bucket bounds that fit the drains, that are loose, and that miss them
+// all, with one scratch reused throughout, as the pool reuses it.
+func TestWalkMatchesSortedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	inputs := [][]float64{{3.5}, {2, 2, 2, 2, 2}, {-1, 1}, {1, -1}}
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
+	type input struct {
+		name                string
+		fillWindow, minStep float64
+		drains              []float64
+	}
+	var inputs []input
+	add := func(name string, fillWindow, minStep float64, drains []float64) {
+		inputs = append(inputs, input{name, fillWindow, minStep, drains})
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(400)
 		v := make([]float64, n)
+		// A fill window many steps wide: starts and drains interleave.
+		fillWindow := 0.1 + 0.1*rng.Float64()
 		for i := range v {
-			switch trial % 4 {
-			case 0: // wide random spread
-				v[i] = rng.NormFloat64() * 1e3
-			case 1: // few distinct values, many duplicates
-				v[i] = float64(rng.Intn(5))
-			case 2: // all equal
-				v[i] = 0.125
-			default: // one far outlier over a tight cluster
-				v[i] = 1 + rng.Float64()*1e-9
-				if i == 0 {
-					v[i] = 1e6
-				}
+			v[i] = slotStart(fillWindow, i, n) + 0.1*rng.Float64()
+		}
+		add("interleaved", fillWindow, 0.002+0.01*rng.Float64(), slices.Clone(v))
+		// All equal, and a few distinct values many times over.
+		for i := range v {
+			v[i] = 0.125
+		}
+		add("all equal", 0.1*rng.Float64(), 0.125/512, slices.Clone(v))
+		for i := range v {
+			v[i] = 1 + float64(rng.Intn(5))*0.01
+		}
+		add("duplicates", 0.02*rng.Float64(), 0.01*rng.Float64(), slices.Clone(v))
+		// Chains of drains each exactly one minStep past the last, so a
+		// step that starts on one lands its threshold on the next.
+		minStep := 1e-3 * (1 + rng.Float64())
+		for i := range v {
+			if i%8 == 0 {
+				v[i] = 0.01 + rng.Float64()*0.3
+			} else {
+				v[i] = v[i-1] + minStep
 			}
 		}
-		inputs = append(inputs, v)
+		add("threshold ties", 0, minStep, slices.Clone(v))
+		add("threshold ties, filling", 0.05*rng.Float64(), minStep, slices.Clone(v))
+		// One far outlier over a tight cluster: the outlier lies far past
+		// maxBuckets steps, so it shares the last bucket.
+		for i := range v {
+			v[i] = 1 + rng.Float64()*1e-6
+		}
+		v[rng.Intn(n)] = 1e6
+		add("outlier", 1e-7*rng.Float64(), 1e-6/64, slices.Clone(v))
+		add("outlier, makespan steps", 0, 1e6/512, slices.Clone(v))
+		// One slot, and drains on the first start.
+		add("one slot", rng.Float64(), 1e-3*rng.Float64(), []float64{0.5 + rng.Float64()})
+		add("drains at 0", 0.01*rng.Float64(), 1e-3, []float64{0, 0, rng.Float64(), 0})
 	}
-	for _, src := range inputs {
-		want := slices.Clone(src)
-		slices.Sort(want)
-		got := make([]float64, len(src))
-		counts := make([]int32, len(src)+1)
-		bucketSort(got, src, counts)
-		if !slices.Equal(got, want) {
-			t.Fatalf("bucketSort(%v) = %v, want %v", src, got, want)
+	// More slots than the catalog jitter table, drained as the scheduler
+	// drains them.
+	for _, n := range []int{len(catalogJitter) + 1, 3 * len(catalogJitter)} {
+		jitter := slotJitter(n)
+		for _, blocks := range []int{n / 2, n, 5*n + 3} {
+			active := min(n, blocks)
+			fillWindow := float64(active) * 2e-6
+			v := make([]float64, active)
+			for i := range v {
+				count := blocks / active
+				if i < blocks%active {
+					count++
+				}
+				v[i] = slotStart(fillWindow, i, active) + float64(float64(count)*1e-4*jitter[i])
+			}
+			add(fmt.Sprintf("%d slots, %d blocks", n, blocks), fillWindow, slices.Max(v)/512, v)
+		}
+	}
+
+	sc := new(drainScratch)
+	for _, in := range inputs {
+		sorted := slices.Clone(in.drains)
+		slices.Sort(sorted)
+		want := mergeSteps(in.fillWindow, sorted, in.minStep)
+		lo, hi := sorted[0], sorted[len(sorted)-1]
+		// The bucket bounds only size the buckets: the tight ones, loose
+		// ones like the scheduler's, and ones that miss every drain all
+		// give the same steps.
+		for _, b := range []struct {
+			name          string
+			lo, hi, width float64
+		}{
+			{"tight", lo, hi, in.minStep},
+			{"loose", 0, 1.1 * hi, 1.1 * hi / 512},
+			{"below", -2 * hi, -hi, in.minStep},
+			{"above", 2 * hi, 3 * hi, in.minStep},
+			{"one bucket", lo, lo, in.minStep},
+		} {
+			bk := sc.reset(len(in.drains), b.lo, b.hi, b.width)
+			for j, v := range in.drains {
+				sc.drains[j] = bk.drain(v)
+			}
+			got := sc.walk(in.fillWindow, in.minStep)
+			if len(got) != len(want) {
+				t.Fatalf("%s (%d drains), %s buckets: %d steps, want %d", in.name, len(in.drains), b.name, len(got), len(want))
+			}
+			for i, g := range got {
+				if math.Float64bits(g.Seconds) != math.Float64bits(want[i].Seconds) || g.ActiveSlots != want[i].ActiveSlots {
+					t.Fatalf("%s (%d drains), %s buckets: step %d is %+v, want %+v", in.name, len(in.drains), b.name, i, g, want[i])
+				}
+			}
 		}
 	}
 }
