@@ -84,23 +84,6 @@ func benchGemm(b *testing.B, v dense.Variant, n int) {
 	}
 }
 
-func BenchmarkGemmSharedKernelBS16(b *testing.B) {
-	n := 192
-	a := dense.MustMatrix(n, n)
-	bb := dense.MustMatrix(n, n)
-	a.FillRandom(1)
-	bb.FillRandom(2)
-	b.SetBytes(int64(3 * n * n * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := dense.MustMatrix(n, n)
-		if err := dense.GemmSharedKernel(16, a, bb, c, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParallelGemm256x8Threads(b *testing.B) {
 	n := 256
 	a := dense.MustMatrix(n, n)

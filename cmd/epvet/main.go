@@ -1,7 +1,10 @@
 // Command epvet runs the repo's domain lint rules (internal/lint) over
 // the module and reports findings as `file:line: rule: message`, exiting
 // non-zero if any survive. It enforces the determinism and measurement
-// contracts the methodology rests on; see DESIGN.md for the rule table.
+// contracts the methodology rests on, and its unused rule reports every
+// function under internal/ that no main, init, package-level var,
+// root-package export or stdlib interface method reaches; see DESIGN.md
+// for the rule table.
 //
 // Usage:
 //
@@ -17,7 +20,9 @@
 // -baseline file compares the run against a committed baseline: findings
 // recorded there are tolerated debt, and only findings absent from the
 // baseline fail the run. Baseline identity is (file, rule, message) —
-// line numbers are ignored so unrelated edits don't churn the file.
+// line numbers are ignored so unrelated edits don't churn the file. A
+// run that suppresses more findings than the baseline records fails too,
+// so a new //lint:ignore shows up as a baseline diff in review.
 //
 // Suppress an individual finding with an in-source directive:
 //
@@ -69,6 +74,7 @@ func run(args []string, rules []lint.Rule, asJSON bool, baselinePath string) (in
 	report := lint.NewReport(findings, sum)
 
 	failing := report.Findings
+	baseSuppressed := sum.Suppressed
 	if baselinePath != "" {
 		data, err := os.ReadFile(baselinePath)
 		if err != nil {
@@ -79,6 +85,7 @@ func run(args []string, rules []lint.Rule, asJSON bool, baselinePath string) (in
 			return 0, err
 		}
 		failing = report.Diff(base)
+		baseSuppressed = base.Suppressed
 	}
 
 	out := cli.NewWriter(os.Stdout)
@@ -104,7 +111,12 @@ func run(args []string, rules []lint.Rule, asJSON bool, baselinePath string) (in
 		cli.Errorf(os.Stderr, "epvet: %d packages, %d files, %d findings, %d suppressed\n",
 			sum.Packages, sum.Files, sum.Reported, sum.Suppressed)
 	}
-	if len(failing) > 0 {
+	newSuppressions := sum.Suppressed > baseSuppressed
+	if newSuppressions {
+		cli.Errorf(os.Stderr, "epvet: %d suppressed, the baseline records %d; review the new //lint:ignore directives and regenerate the baseline with -json\n",
+			sum.Suppressed, baseSuppressed)
+	}
+	if len(failing) > 0 || newSuppressions {
 		return 1, nil
 	}
 	return 0, nil

@@ -27,27 +27,21 @@ func NewPointCache(capacity int) *PointCache {
 	return memo.New[PointReport](capacity)
 }
 
-// pointKey derives a point's canonical content-addressed cache key. It
-// must cover everything a measured point is a function of: the device's
-// identity, the normalized workload, the configuration key (the same
-// identity device.ConfigSeed hashes for the meter seed), the campaign
-// seed, and every Spec knob that shapes the statistical loop. Two
-// campaigns that agree on all of these produce bit-identical points, so
-// a digest collision-free over these fields makes the cache exact.
-// A model-true point is a function of the device run alone, so its key
-// digests only the device identity, workload and configuration key,
-// under a domain tag of its own.
+// pointPrefix digests a point's canonical content-addressed cache key up
+// to its configuration. The key must cover everything a measured point
+// is a function of: the device's identity, the normalized workload, the
+// configuration key (the same identity device.ConfigSeed hashes for the
+// meter seed), the campaign seed, and every Spec knob that shapes the
+// statistical loop. Two campaigns that agree on all of these produce
+// bit-identical points, so a digest collision-free over these fields
+// makes the cache exact. A model-true point is a function of the device
+// run alone, so its key digests only the device identity, workload and
+// configuration key, under a domain tag of its own.
 //
-// A campaign digests its points through one pointPrefix; pointKey is
-// that prefix applied to a single configuration.
-func pointKey(dev device.Device, w device.Workload, c device.Config, spec Spec) string {
-	return pointPrefix(dev, w, spec).Digest(c.Key())
-}
-
-// pointPrefix fixes every pointKey field but the configuration key:
-// those before it as a saved hash state, the spec fields after it as
-// encoded bytes. They are the same for every point of a campaign, so a
-// point's key costs one hash of its configuration key.
+// The fields before the configuration key are a saved hash state, the
+// spec fields after it encoded bytes. They are the same for every point
+// of a campaign, so a point's key costs one hash of its configuration
+// key.
 func pointPrefix(dev device.Device, w device.Workload, spec Spec) memo.Prefix {
 	s := dev.Spec()
 	tag := "campaign-point/v1"

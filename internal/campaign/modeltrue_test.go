@@ -126,3 +126,9 @@ func TestModelTruePointKeyPinned(t *testing.T) {
 		t.Errorf("pointKey = %s, want %s", got, want)
 	}
 }
+
+// pointKey is pointPrefix applied to a single configuration: the key a
+// campaign gives that point.
+func pointKey(dev device.Device, w device.Workload, c device.Config, spec Spec) string {
+	return pointPrefix(dev, w, spec).Digest(c.Key())
+}

@@ -228,13 +228,6 @@ func (s *CountingSink) Accepted() int { return int(s.accepted.Load()) }
 // Failed returns the number of failure outcomes seen.
 func (s *CountingSink) Failed() int { return int(s.failed.Load()) }
 
-// TotalRuns returns the summed statistical repetitions — the
-// campaign's cost.
-func (s *CountingSink) TotalRuns() int { return int(s.runs.Load()) }
-
-// Flushed reports whether the stream completed.
-func (s *CountingSink) Flushed() bool { return s.flushes.Load() > 0 }
-
 // FirstFailure returns the first failure outcome's error, if any.
 func (s *CountingSink) FirstFailure() error {
 	s.mu.Lock()

@@ -295,3 +295,10 @@ func TestDiscardSink(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TotalRuns returns the summed statistical repetitions — the
+// campaign's cost.
+func (s *CountingSink) TotalRuns() int { return int(s.runs.Load()) }
+
+// Flushed reports whether the stream completed.
+func (s *CountingSink) Flushed() bool { return s.flushes.Load() > 0 }

@@ -150,16 +150,3 @@ func (r *AdditivityReport) Additive(tol float64) []Event {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// NonAdditive returns the events whose additivity error exceeds tol,
-// sorted by name.
-func (r *AdditivityReport) NonAdditive(tol float64) []Event {
-	var out []Event
-	for e, err := range r.RelError {
-		if err > tol {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

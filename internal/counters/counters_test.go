@@ -1,7 +1,9 @@
 package counters
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"energyprop/internal/gpusim"
@@ -236,4 +238,30 @@ func TestCorrelationWithEnergy(t *testing.T) {
 	if _, err := CorrelationWithEnergy(samples, []Event{DRAMReadTransactions}); err == nil {
 		t.Error("missing event: want error")
 	}
+}
+
+// NonAdditive returns the events whose additivity error exceeds tol,
+// sorted by name.
+func (r *AdditivityReport) NonAdditive(tol float64) []Event {
+	var out []Event
+	for e, err := range r.RelError {
+		if err > tol {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Predict evaluates the model on one run's counts.
+func (m *EnergyModel) Predict(c Counts) (float64, error) {
+	e := m.Coef[0]
+	for i, ev := range m.Events {
+		v, ok := c[ev]
+		if !ok {
+			return 0, fmt.Errorf("counters: counts missing event %s", ev)
+		}
+		e += m.Coef[i+1] * v
+	}
+	return e, nil
 }

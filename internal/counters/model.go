@@ -56,19 +56,6 @@ func FitEnergyModel(samples []Sample, events []Event) (*EnergyModel, error) {
 	return &EnergyModel{Events: append([]Event(nil), events...), Coef: coef, R2: r2}, nil
 }
 
-// Predict evaluates the model on one run's counts.
-func (m *EnergyModel) Predict(c Counts) (float64, error) {
-	e := m.Coef[0]
-	for i, ev := range m.Events {
-		v, ok := c[ev]
-		if !ok {
-			return 0, fmt.Errorf("counters: counts missing event %s", ev)
-		}
-		e += m.Coef[i+1] * v
-	}
-	return e, nil
-}
-
 // CorrelationWithEnergy returns each event's Pearson correlation with the
 // samples' dynamic energy — the paper's second model-variable criterion
 // ("high positive correlation with dynamic energy"). Events whose counts

@@ -1,9 +1,8 @@
 package cpusim
 
 import (
+	"slices"
 	"testing"
-
-	"energyprop/internal/stats"
 )
 
 func TestRunFFT2DValidation(t *testing.T) {
@@ -40,15 +39,15 @@ func TestCPUFFTStrongEPViolated(t *testing.T) {
 	// the energy-per-work ratio must be (nearly) constant. Here it must
 	// not be.
 	m := NewHaswell()
-	ratios := stats.NewSample()
+	var ratios []float64
 	for n := 128; n <= 32768; n *= 2 {
 		r, err := m.RunFFT2D(n, 24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratios.Add(r.DynEnergyJ / r.Work)
+		ratios = append(ratios, r.DynEnergyJ/r.Work)
 	}
-	if spread := ratios.Max() / ratios.Min(); spread < 1.3 {
+	if spread := slices.Max(ratios) / slices.Min(ratios); spread < 1.3 {
 		t.Errorf("E_d/W spread = %.3f, want > 1.3 (strong EP should be violated)", spread)
 	}
 }

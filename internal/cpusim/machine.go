@@ -24,7 +24,6 @@ import (
 
 	"energyprop/internal/dense"
 	"energyprop/internal/hw"
-	"energyprop/internal/meter"
 )
 
 // calibration holds the machine model's tunables (magnitudes; the
@@ -202,11 +201,6 @@ type Result struct {
 	// ThreadSeconds is each thread's busy time (diagnostics and theory
 	// checks: differences here are what break weak EP).
 	ThreadSeconds []float64
-}
-
-// Run adapts the result to a meter.Run for the measurement pipeline.
-func (r *Result) Run(idlePowerW float64) meter.Run {
-	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
 }
 
 // threadPlacement maps each thread (group-major order) to a logical core

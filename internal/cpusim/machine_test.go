@@ -315,3 +315,8 @@ func TestMeterAdapter(t *testing.T) {
 		t.Errorf("metered dynamic energy %v != model %v", rep.DynamicEnergyJ, r.DynEnergyJ)
 	}
 }
+
+// Run adapts the result to a meter.Run for the measurement pipeline.
+func (r *Result) Run(idlePowerW float64) meter.Run {
+	return meter.ConstantRun{Seconds: r.Seconds, Watts: idlePowerW + r.DynPowerW}
+}

@@ -165,16 +165,6 @@ func parseProcStatInto(text string, out map[int]parsedStat) error {
 	return nil
 }
 
-// parseProcStat is parseProcStatInto with a fresh map, for callers
-// outside the hot path.
-func parseProcStat(text string) (map[int]parsedStat, error) {
-	out := map[int]parsedStat{}
-	if err := parseProcStatInto(text, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // statParseScratch holds the reusable state of one utilization
 // computation: the two parsed snapshots and the sorted index walk.
 type statParseScratch struct {

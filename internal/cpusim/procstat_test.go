@@ -122,3 +122,13 @@ func TestProcStatPairMatchesSimulatorUtilization(t *testing.T) {
 		t.Errorf("procstat utilization %.3f vs simulator %.3f", got, r.AvgUtil)
 	}
 }
+
+// parseProcStat is parseProcStatInto with a fresh map, for callers
+// outside the hot path.
+func parseProcStat(text string) (map[int]parsedStat, error) {
+	out := map[int]parsedStat{}
+	if err := parseProcStatInto(text, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

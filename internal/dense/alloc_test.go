@@ -22,55 +22,3 @@ func TestGemmPackedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("packed GEMM allocates %.1f objects per run in steady state, want 0", allocs)
 	}
 }
-
-// TestGemmSharedKernelSteadyStateAllocs: the Fig 5 kernel's tile and
-// accumulator buffers come from the pool, so per-run allocations are
-// bounded by goroutine-spawn overhead alone (wg plumbing and the
-// closures), independent of the grid size.
-func TestGemmSharedKernelSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime randomly drops sync.Pool puts, so pooled paths allocate under -race")
-	}
-	const n, bs, groups = 96, 16, 2
-	a, b := MustMatrix(n, n), MustMatrix(n, n)
-	a.FillRandom(3)
-	b.FillRandom(4)
-	c := MustMatrix(n, n)
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := GemmSharedKernel(bs, a, b, c, groups); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Before pooling, each run allocated 3 tiles per worker plus one
-	// Csub per block (36 blocks here). The bound leaves room for the
-	// goroutine machinery but not for per-block buffers.
-	if allocs > 12 {
-		t.Errorf("shared kernel allocates %.1f objects per run, want goroutine overhead only (<= 12)", allocs)
-	}
-}
-
-// TestGemmSharedKernelPooledBuffersStayCorrect: a dirty pool must not
-// leak into results — run a kernel, then rerun on fresh inputs and
-// check against the naive oracle (csub is explicitly zeroed, as/bsm
-// fully rewritten).
-func TestGemmSharedKernelPooledBuffersStayCorrect(t *testing.T) {
-	const n, bs = 50, 16 // boundary blocks exercise the padded loads
-	a, b := MustMatrix(n, n), MustMatrix(n, n)
-	a.FillRandom(5)
-	b.FillRandom(6)
-	// Dirty the pool with a first multiply.
-	if err := GemmSharedKernel(bs, a, b, MustMatrix(n, n), 3); err != nil {
-		t.Fatal(err)
-	}
-	got := MustMatrix(n, n)
-	if err := GemmSharedKernel(bs, a, b, got, 3); err != nil {
-		t.Fatal(err)
-	}
-	want := MustMatrix(n, n)
-	if err := GemmNaive(1, a, b, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualApprox(want, 1e-9) {
-		t.Errorf("pooled kernel diverges from the oracle by %g", got.MaxAbsDiff(want))
-	}
-}

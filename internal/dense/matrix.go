@@ -9,7 +9,6 @@
 package dense
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,20 +39,6 @@ func MustMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// At returns the element at (i, j) without bounds checking beyond the
-// slice's own.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, len(m.Data))}
-	copy(c.Data, m.Data)
-	return c
-}
-
 // FillRandom fills the matrix with deterministic uniform values in [-1, 1)
 // derived from the seed.
 func (m *Matrix) FillRandom(seed int64) {
@@ -61,35 +46,6 @@ func (m *Matrix) FillRandom(seed int64) {
 	for i := range m.Data {
 		m.Data[i] = rng.Float64()*2 - 1
 	}
-}
-
-// FillIdentity zeroes the matrix and sets its main diagonal to 1. It
-// returns an error for non-square matrices.
-func (m *Matrix) FillIdentity() error {
-	if m.Rows != m.Cols {
-		return errors.New("dense: identity requires a square matrix")
-	}
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Set(i, i, 1)
-	}
-	return nil
-}
-
-// EqualApprox reports whether the two matrices have the same shape and all
-// elements within tol of each other.
-func (m *Matrix) EqualApprox(o *Matrix, tol float64) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference, or +Inf
@@ -105,13 +61,4 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 		}
 	}
 	return max
-}
-
-// FrobeniusNorm returns sqrt(Σ x²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -42,10 +42,6 @@ func (c *CPU) Spec() Spec {
 	return Spec{CatalogName: c.m.Spec.Name, IdlePowerW: c.m.Spec.IdlePowerW}
 }
 
-// Underlying exposes the wrapped simulator for callers that need
-// machine-specific extras (placement policies, power breakdowns).
-func (c *CPU) Underlying() *cpusim.Machine { return c.m }
-
 // CPUPoint is one threadgroup decomposition.
 type CPUPoint struct {
 	C dense.Config

@@ -53,11 +53,6 @@ func (g *GPU) Analytic() Device {
 	return &GPU{name: g.name, dev: g.dev, analytic: true}
 }
 
-// Underlying exposes the wrapped simulator for library callers that
-// need GPU-specific extras the Device interface does not carry; nothing
-// in the unified pipeline uses it.
-func (g *GPU) Underlying() *gpusim.Device { return g.dev }
-
 // GPUPoint is one dense-family configuration: the paper's three decision
 // variables.
 type GPUPoint struct {

@@ -59,7 +59,7 @@ func TestOpenReturnsFreshInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.(*GPU).Underlying() == b.(*GPU).Underlying() {
+	if a.(*GPU).dev == b.(*GPU).dev {
 		t.Fatal("Open returned the same gpusim.Device twice; ablation state could leak between users")
 	}
 }

@@ -114,10 +114,6 @@ type Stats struct {
 	Delays int
 }
 
-// Injected sums the injected fault classes (latency excluded — it
-// delays but never fails a run).
-func (s Stats) Injected() int { return s.Transients + s.Drops + s.Outliers }
-
 // Device wraps an inner device.Device with the plan's fault schedule.
 // It passes Name, Kind, Spec, and Configs through unchanged: a wrapped
 // device measures the same physical identity, and every point that

@@ -254,3 +254,7 @@ func TestAttemptSeedDistinct(t *testing.T) {
 		t.Error("plan seed does not separate schedules")
 	}
 }
+
+// Injected sums the injected fault classes (latency excluded — it
+// delays but never fails a run).
+func (s Stats) Injected() int { return s.Transients + s.Drops + s.Outliers }

@@ -28,10 +28,6 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 //lint:root hotalloc in-place per-point transform; the 2D driver calls it once per row/column
 func FFT(x []complex128) error { return transform(x, false) }
 
-// IFFT performs an in-place inverse FFT of x, including the 1/n scaling.
-// len(x) must be a power of two.
-func IFFT(x []complex128) error { return transform(x, true) }
-
 func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if !isPow2(n) {
@@ -76,22 +72,6 @@ func transform(x []complex128, inverse bool) error {
 	return nil
 }
 
-// DFTNaive computes the forward discrete Fourier transform directly in
-// O(n²); it is the correctness oracle for FFT and works for any length.
-func DFTNaive(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
 // Signal2D is an N×N complex signal matrix stored row-major.
 type Signal2D struct {
 	N    int
@@ -105,12 +85,6 @@ func NewSignal2D(n int) (*Signal2D, error) {
 	}
 	return &Signal2D{N: n, Data: make([]complex128, n*n)}, nil
 }
-
-// At returns the element at row i, column j.
-func (s *Signal2D) At(i, j int) complex128 { return s.Data[i*s.N+j] }
-
-// Set assigns the element at row i, column j.
-func (s *Signal2D) Set(i, j int, v complex128) { s.Data[i*s.N+j] = v }
 
 // Clone returns a deep copy.
 func (s *Signal2D) Clone() *Signal2D {

@@ -246,3 +246,29 @@ func TestWorkModel(t *testing.T) {
 		prev = w
 	}
 }
+
+// IFFT performs an in-place inverse FFT of x, including the 1/n scaling.
+// len(x) must be a power of two.
+func IFFT(x []complex128) error { return transform(x, true) }
+
+// DFTNaive computes the forward discrete Fourier transform directly in
+// O(n²); it is the correctness oracle for FFT and works for any length.
+func DFTNaive(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sum += x[t] * cmplx.Exp(complex(0, angle))
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// At returns the element at row i, column j.
+func (s *Signal2D) At(i, j int) complex128 { return s.Data[i*s.N+j] }
+
+// Set assigns the element at row i, column j.
+func (s *Signal2D) Set(i, j int, v complex128) { s.Data[i*s.N+j] = v }

@@ -54,11 +54,6 @@ type Chaos struct {
 // schedule does not name one.
 const DefaultSlowTicks = 3
 
-// Enabled reports whether the schedule injects anything at all.
-func (c Chaos) Enabled() bool {
-	return c.Preempt > 0 || c.Flaky > 0 || c.Slow > 0
-}
-
 // Validate checks the schedule's ranges.
 func (c Chaos) Validate() error {
 	for _, f := range []struct {

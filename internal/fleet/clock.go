@@ -15,9 +15,6 @@ type Clock struct {
 	tick Tick
 }
 
-// Now returns the current virtual time.
-func (c *Clock) Now() Tick { return c.tick }
-
 // Advance steps the clock one tick and returns the new time.
 func (c *Clock) Advance() Tick {
 	c.tick++

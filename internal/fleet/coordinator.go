@@ -180,17 +180,6 @@ func (c *Coordinator) Events() []Event {
 	return out
 }
 
-// Nodes snapshots the node states.
-func (c *Coordinator) Nodes() []NodeStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]NodeStatus, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = NodeStatus{Name: n.name, Cordoned: n.cordoned, Busy: n.busy(), Strikes: n.strikes}
-	}
-	return out
-}
-
 // queued is one shard waiting for a node.
 type queued struct {
 	shard   int

@@ -483,3 +483,22 @@ func TestPlanDerivesNodePlans(t *testing.T) {
 		t.Errorf("NodePlan changed the schedule shape: %+v", got)
 	}
 }
+
+// Enabled reports whether the schedule injects anything at all.
+func (c Chaos) Enabled() bool {
+	return c.Preempt > 0 || c.Flaky > 0 || c.Slow > 0
+}
+
+// Now returns the current virtual time.
+func (c *Clock) Now() Tick { return c.tick }
+
+// Nodes snapshots the node states.
+func (c *Coordinator) Nodes() []NodeStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]NodeStatus, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = NodeStatus{Name: n.name, Cordoned: n.cordoned, Busy: n.busy(), Strikes: n.strikes}
+	}
+	return out
+}

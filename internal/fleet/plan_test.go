@@ -78,8 +78,12 @@ func TestPlanStackOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.Underlying(), reg.(device.AnalyticProvider).Analytic()) {
-		t.Errorf("policy wraps %+v, want the registry device's analytic variant", ref.Underlying())
+	want, err := policy.Wrap(reg.(device.AnalyticProvider).Analytic(), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, want) {
+		t.Errorf("reference device is %+v, want the registry device's analytic variant under the plan's policy", ref)
 	}
 	if _, n := st.Injectors.Stats(); n != 1 {
 		t.Errorf("local stack collected %d injectors, want 1", n)

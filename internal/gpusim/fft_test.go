@@ -1,9 +1,8 @@
 package gpusim
 
 import (
+	"slices"
 	"testing"
-
-	"energyprop/internal/stats"
 )
 
 func TestRunFFT2DValidation(t *testing.T) {
@@ -53,15 +52,15 @@ func TestFFTStrongEPViolated(t *testing.T) {
 	// energy-per-work ratio must be (nearly) constant. Here it must not
 	// be.
 	for _, d := range []*Device{NewK40c(), NewP100()} {
-		ratios := stats.NewSample()
+		var ratios []float64
 		for n := 256; n <= 32768; n *= 2 {
 			r, err := d.RunFFT2D(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ratios.Add(r.DynEnergyJ / r.Work)
+			ratios = append(ratios, r.DynEnergyJ/r.Work)
 		}
-		if spread := ratios.Max() / ratios.Min(); spread < 1.3 {
+		if spread := slices.Max(ratios) / slices.Min(ratios); spread < 1.3 {
 			t.Errorf("%s: E_d/W spread = %.3f, want > 1.3 (strong EP should be violated)",
 				d.Spec.Name, spread)
 		}

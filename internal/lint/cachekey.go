@@ -11,8 +11,8 @@ import (
 // are canonical digests over everything a measurement is a function of.
 // A key assembled with fmt.Sprintf is not injective over field
 // boundaries ("ab"+"c" and "a"+"bc" collide), so any key handed to
-// memo.Cache in the packages below must flow through memo.Digest or a
-// key-derivation helper wrapping it.
+// memo.Cache in the packages below must flow through memo.Prefix.Digest
+// or a key-derivation helper wrapping it.
 
 // cacheKeyScoped is the set of packages whose memo.Cache keys address
 // measured results, where an aliased key silently returns the wrong
@@ -25,14 +25,7 @@ var cacheKeyScoped = map[string]bool{
 	"energyprop/cmd/epstudy":       true,
 }
 
-// cacheKeyMethods are the memo.Cache entry points whose first argument
-// is a cache key.
-var cacheKeyMethods = map[string]bool{
-	"Do":  true,
-	"Get": true,
-}
-
-// checkCacheKeys flags memo.Cache.Do/Get calls whose key argument is
+// checkCacheKeys flags memo.Cache.Do calls whose key argument is
 // built with fmt formatting or does not visibly flow through a
 // digest/key-derivation helper.
 func checkCacheKeys(pkg *Package) []Finding {
@@ -43,21 +36,20 @@ func checkCacheKeys(pkg *Package) []Finding {
 			if !ok {
 				return true
 			}
-			method, ok := memoCacheCall(pkg.Info, call)
-			if !ok || len(call.Args) == 0 {
+			if !isCacheDo(pkg.Info, call) || len(call.Args) == 0 {
 				return true
 			}
 			key := call.Args[0]
 			if name := fmtFormatCallIn(pkg.Info, key); name != "" {
 				out = append(out, pkg.findingf(key, "seedflow",
-					"cache key for Cache.%s is built with fmt.%s, which is not injective over field boundaries; derive it with memo.Digest (or a key helper wrapping it)",
-					method, name))
+					"cache key for Cache.Do is built with fmt.%s, which is not injective over field boundaries; derive it with memo.Prefix.Digest (or a key helper wrapping it)",
+					name))
 				return true
 			}
 			if !derivesCanonicalKey(key) {
 				out = append(out, pkg.findingf(key, "seedflow",
-					"cache key for Cache.%s is %s, which does not flow through a canonical digest helper; derive it with memo.Digest (or a key helper wrapping it) so the key covers every field a result depends on",
-					method, exprString(pkg.Fset, key)))
+					"cache key for Cache.Do is %s, which does not flow through a canonical digest helper; derive it with memo.Prefix.Digest (or a key helper wrapping it) so the key covers every field a result depends on",
+					exprString(pkg.Fset, key)))
 			}
 			return true
 		})
@@ -65,18 +57,17 @@ func checkCacheKeys(pkg *Package) []Finding {
 	return out
 }
 
-// memoCacheCall reports whether the call is a method call on
-// memo.Cache (through pointers and generic instantiation, including
-// aliases like campaign.PointCache) naming one of the key-taking
-// methods, and returns the method name.
-func memoCacheCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+// isCacheDo reports whether the call is a call of memo.Cache's Do
+// (through pointers and generic instantiation, including aliases like
+// campaign.PointCache).
+func isCacheDo(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !cacheKeyMethods[sel.Sel.Name] {
-		return "", false
+	if !ok || sel.Sel.Name != "Do" {
+		return false
 	}
 	tv, ok := info.Types[sel.X]
 	if !ok {
-		return "", false
+		return false
 	}
 	t := tv.Type
 	if p, ok := t.(*types.Pointer); ok {
@@ -84,13 +75,10 @@ func memoCacheCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return "", false
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "energyprop/internal/memo" || obj.Name() != "Cache" {
-		return "", false
-	}
-	return sel.Sel.Name, true
+	return obj.Pkg() != nil && obj.Pkg().Path() == "energyprop/internal/memo" && obj.Name() == "Cache"
 }
 
 // fmtFormatCallIn returns the name of the first fmt string-building
@@ -114,7 +102,7 @@ func fmtFormatCallIn(info *types.Info, expr ast.Expr) string {
 
 // derivesCanonicalKey reports whether the expression visibly flows
 // through key-derivation machinery: a call to a helper whose name
-// mentions digest/key/seed (memo.Digest, pointKey, outcomeKey,
+// mentions digest/key/seed (memo.Prefix.Digest, outcomeKey,
 // device.ConfigSeed), or an identifier so named carrying a precomputed
 // key.
 func derivesCanonicalKey(expr ast.Expr) bool {

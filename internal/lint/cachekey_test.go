@@ -19,8 +19,8 @@ func bad(c *memo.Cache[int], dev, cfg string) (int, error) {
 	return v, err
 }
 
-func badLookup(c *memo.Cache[int], dev, cfg string) (int, bool) {
-	return c.Get(fmt.Sprint(dev, cfg))
+func badSprint(c *memo.Cache[int], dev, cfg string) (int, bool, error) {
+	return c.Do(fmt.Sprint(dev, cfg), func() (int, error) { return 1, nil })
 }
 `
 	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/campaign", src, []want{
@@ -45,18 +45,18 @@ func bad(c *memo.Cache[int], dev, cfg string) (int, error) {
 }
 
 func TestCacheKeyAcceptsDigestHelpers(t *testing.T) {
-	// The sanctioned shapes: a direct memo.Digest call, a *Key helper
+	// The sanctioned shapes: a direct Prefix.Digest call, a *Key helper
 	// wrapping it, or a precomputed key-named value.
 	src := `package campaign
 
 import "energyprop/internal/memo"
 
 func pointKey(dev, cfg string) string {
-	return memo.Digest("point/v1", dev, cfg)
+	return memo.NewPrefix("point/v1").Digest(dev, cfg)
 }
 
 func goodDirect(c *memo.Cache[int], dev, cfg string) (int, error) {
-	v, _, err := c.Do(memo.Digest("point/v1", dev, cfg), func() (int, error) { return 1, nil })
+	v, _, err := c.Do(memo.Prefix{}.Digest("point/v1", dev, cfg), func() (int, error) { return 1, nil })
 	return v, err
 }
 
@@ -65,9 +65,9 @@ func goodHelper(c *memo.Cache[int], dev, cfg string) (int, error) {
 	return v, err
 }
 
-func goodPrecomputed(c *memo.Cache[int], dev, cfg string) (int, bool) {
+func goodPrecomputed(c *memo.Cache[int], dev, cfg string) (int, bool, error) {
 	key := pointKey(dev, cfg)
-	return c.Get(key)
+	return c.Do(key, func() (int, error) { return 1, nil })
 }
 `
 	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/campaign", src, nil)
@@ -76,13 +76,13 @@ func goodPrecomputed(c *memo.Cache[int], dev, cfg string) (int, bool) {
 func TestCacheKeyScopeLimits(t *testing.T) {
 	// Outside the cache-key-scoped packages (e.g. an analysis tool) the
 	// rule stays quiet: those caches do not address measured results.
-	src := `package trace
+	src := `package analysis
 
 import "energyprop/internal/memo"
 
-func unscoped(c *memo.Cache[int], raw string) (int, bool) {
-	return c.Get(raw)
+func unscoped(c *memo.Cache[int], raw string) (int, bool, error) {
+	return c.Do(raw, func() (int, error) { return 1, nil })
 }
 `
-	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/trace", src, nil)
+	checkFixture(t, []Rule{SeedFlow{}}, "energyprop/internal/analysis", src, nil)
 }

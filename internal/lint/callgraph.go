@@ -10,8 +10,8 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural rules
-// (purerun, hotalloc, lockorder, seedflow v2) reason over. The graph is
-// a conservative over-approximation of "may call":
+// (purerun, hotalloc, lockorder, unused, seedflow v2) reason over. The
+// graph is a conservative over-approximation of "may call":
 //
 //   - direct calls to named functions and methods are static edges;
 //   - calls through an interface method are resolved with class-
@@ -26,15 +26,19 @@ import (
 //     fields are tracked flow-insensitively: an indirect call through
 //     such a binding targets every function value ever stored in it
 //     anywhere in the module (so parallelRange(threads, n, fn) reaches
-//     the closures its callers pass as fn).
+//     the closures its callers pass as fn);
+//   - a package's package-level var initializers are one node of their
+//     own, the package's implicit init (display name "pkg.init"), so a
+//     function named in a registry map or a sync.Pool's New has a caller.
 //
-// Only function bodies in the analyzed packages are walked; calls into
-// the standard library are leaves. The graph, like the rules, is built
+// Only code in the analyzed packages is walked; calls into the standard
+// library are leaves. The graph, like the rules, is built
 // deterministically: nodes in file order, CHA targets sorted by type
 // name, so findings are byte-stable across runs.
 
 // Node is one function body in the call graph: a named function or
-// method (Fn != nil) or a function literal (Lit != nil).
+// method (Fn != nil), a function literal (Lit != nil), or a package's
+// implicit init (both nil; Body holds its var declarations).
 type Node struct {
 	Fn   *types.Func
 	Lit  *ast.FuncLit
@@ -49,10 +53,13 @@ func (n *Node) String() string { return n.name }
 
 // Pos returns the node's declaration position.
 func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
+	switch {
+	case n.Lit != nil:
 		return n.Lit.Pos()
+	case n.Fn != nil:
+		return n.Fn.Pos()
 	}
-	return n.Fn.Pos()
+	return n.Body.Pos()
 }
 
 // Graph is the module-wide call graph over a set of packages.
@@ -95,14 +102,9 @@ func nodeDisplayName(pkg *Package, fn *types.Func) string {
 }
 
 // NodeFor returns the node for a named function, nil when the function
-// has no analyzed body (stdlib, or a package outside the program).
-func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byFn[fn] }
-
-// LitNode returns the node for a function literal.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
-// Callees returns the node's outgoing edges in insertion order.
-func (g *Graph) Callees(n *Node) []*Node { return g.out[n] }
+// has no analyzed body (stdlib, or a package outside the program). A
+// method of an instantiated generic type maps to its declaration.
+func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byFn[fn.Origin()] }
 
 // builder carries the intermediate state of a graph build.
 type builder struct {
@@ -163,11 +165,14 @@ func BuildGraph(pkgs []*Package) *Graph {
 				b.g.byFn[fn] = n
 			}
 		}
+		if n := varInitNode(pkg); n != nil {
+			b.g.Nodes = append(b.g.Nodes, n)
+		}
 	}
 	// Pass 2: walk bodies, collecting direct edges, literal nodes,
 	// function-value bindings, and unresolved indirect calls.
 	for _, n := range append([]*Node(nil), b.g.Nodes...) {
-		if n.Fn != nil { // literal nodes are created during the walk
+		if n.Lit == nil { // literal nodes are created during the walk
 			b.walk(n, n.Body)
 		}
 	}
@@ -190,6 +195,32 @@ func BuildGraph(pkgs []*Package) *Graph {
 		}
 	}
 	return b.g
+}
+
+// varInitNode returns the package's implicit init: one node whose body
+// is every package-level var declaration with an initializer, in file
+// order. It returns nil when the package has none.
+func varInitNode(pkg *Package) *Node {
+	body := &ast.BlockStmt{}
+	for _, f := range pkg.Files {
+		for _, decl := range f.AST.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				if len(spec.(*ast.ValueSpec).Values) > 0 {
+					body.List = append(body.List, &ast.DeclStmt{Decl: gd})
+					break
+				}
+			}
+		}
+	}
+	if len(body.List) == 0 {
+		return nil
+	}
+	body.Lbrace = body.List[0].Pos()
+	return &Node{Pkg: pkg, Body: body, name: shortPath(pkg.Path) + ".init"}
 }
 
 // collectNamedTypes gathers the CHA universe: every non-interface named
@@ -278,7 +309,7 @@ func (b *builder) walk(cur *Node, body ast.Node) {
 			// A bare mention of a named function (function value,
 			// argument, assignment) is a "may call" edge.
 			if fn, ok := pkg.Info.Uses[x].(*types.Func); ok {
-				b.edge(cur, b.g.byFn[fn])
+				b.edge(cur, b.g.NodeFor(fn))
 			}
 		case *ast.AssignStmt:
 			b.recordAssignFlows(pkg, cur, x)
@@ -351,7 +382,7 @@ func (b *builder) recordCall(cur *Node, pkg *Package, call *ast.CallExpr) {
 }
 
 func (b *builder) addStaticTarget(cur *Node, call *ast.CallExpr, fn *types.Func) {
-	if t := b.g.byFn[fn]; t != nil {
+	if t := b.g.NodeFor(fn); t != nil {
 		b.edge(cur, t)
 		b.g.CallTargets[call] = append(b.g.CallTargets[call], t)
 	}
@@ -372,7 +403,7 @@ func (b *builder) addCHATargets(cur *Node, call *ast.CallExpr, iface *types.Inte
 		if !ok {
 			continue
 		}
-		if t := b.g.byFn[m]; t != nil {
+		if t := b.g.NodeFor(m); t != nil {
 			b.edge(cur, t)
 			b.g.CallTargets[call] = append(b.g.CallTargets[call], t)
 		}
@@ -422,7 +453,7 @@ func (b *builder) recordValueFlow(pkg *Package, cur *Node, dst types.Object, exp
 	case *ast.Ident:
 		switch obj := pkg.Info.Uses[e].(type) {
 		case *types.Func:
-			b.bind(dst, b.g.byFn[obj])
+			b.bind(dst, b.g.NodeFor(obj))
 		case *types.Var:
 			b.flows = append(b.flows, [2]types.Object{dst, obj})
 		}
@@ -431,7 +462,7 @@ func (b *builder) recordValueFlow(pkg *Package, cur *Node, dst types.Object, exp
 			switch s.Kind() {
 			case types.MethodVal: // bound method value
 				if m, ok := s.Obj().(*types.Func); ok {
-					b.bind(dst, b.g.byFn[m])
+					b.bind(dst, b.g.NodeFor(m))
 				}
 			case types.FieldVal:
 				b.flows = append(b.flows, [2]types.Object{dst, s.Obj()})
@@ -440,7 +471,7 @@ func (b *builder) recordValueFlow(pkg *Package, cur *Node, dst types.Object, exp
 		}
 		switch obj := pkg.Info.Uses[e.Sel].(type) {
 		case *types.Func:
-			b.bind(dst, b.g.byFn[obj])
+			b.bind(dst, b.g.NodeFor(obj))
 		case *types.Var:
 			b.flows = append(b.flows, [2]types.Object{dst, obj})
 		}

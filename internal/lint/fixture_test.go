@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"strings"
 	"sync"
 	"testing"
@@ -129,4 +131,35 @@ func mustFixture(t *testing.T, importPath, src string) []*Package {
 		t.Fatalf("fixture does not type-check: %v", err)
 	}
 	return []*Package{pkg}
+}
+
+// LoadPath loads a module-internal package by import path. Fixture
+// tests use it to analyze a real tree package (e.g. internal/meter)
+// alongside an in-memory fixture: the loader's cache guarantees both
+// see the same *types.Package objects, so cross-package dataflow
+// (parameter identity, interface satisfaction) resolves exactly as it
+// does in a full tree run.
+func (l *Loader) LoadPath(importPath string) (*Package, error) {
+	return l.load(importPath)
+}
+
+// CheckSource type-checks a single in-memory file as a package with the
+// given import path — the entry point for the rule fixture tests. The
+// import path matters because several rules scope themselves to specific
+// packages. Fixture packages are not cached, so successive fixtures may
+// reuse a path.
+func (l *Loader) CheckSource(importPath, filename, src string) (*Package, error) {
+	af, err := parser.ParseFile(l.Fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &Package{
+		Path:  importPath,
+		Fset:  l.Fset,
+		Files: []*File{{Name: filename, Src: []byte(src), AST: af}},
+	}
+	if err := l.check(pkg, []*ast.File{af}); err != nil {
+		return nil, err
+	}
+	return pkg, nil
 }

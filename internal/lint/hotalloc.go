@@ -11,9 +11,9 @@ import (
 // statistically: the benchmarks prove the blessed hot paths are
 // allocation-free today, this rule keeps them that way tomorrow. Any
 // function transitively reachable from a `//lint:root hotalloc` mark
-// (the GEMM/FFT kernels, memo.Digest, trace integration, the cpusim
-// execution engine, the stats measurement step) may not
-// append, make, call into fmt, or create a variable-capturing closure —
+// (the GEMM/FFT kernels, memo.Prefix.Digest, the cpusim execution
+// engine, the stats measurement step) may not append, make, call into
+// fmt, or create a variable-capturing closure —
 // each of those is a heap allocation on the per-point hot loop once
 // escape analysis gives up.
 //
@@ -27,7 +27,7 @@ type HotAlloc struct{}
 func (HotAlloc) Name() string { return "hotalloc" }
 
 func (HotAlloc) Doc() string {
-	return "no append/make/fmt/capturing-closure allocations reachable from //lint:root hotalloc hot paths (GEMM/FFT kernels, memo.Digest, trace integration, cpusim.runThreads, stats measureState.step)"
+	return "no append/make/fmt/capturing-closure allocations reachable from //lint:root hotalloc hot paths (GEMM/FFT kernels, memo.Prefix.Digest, cpusim.runThreads, stats measureState.step)"
 }
 
 func (HotAlloc) Check(pkg *Package) []Finding { return nil }

@@ -81,8 +81,8 @@ type Rule interface {
 }
 
 // AllRules returns the full registry in reporting order. The first five
-// are the per-package v1 rules; purerun, hotalloc, and lockorder (and
-// seedflow's v2 taint pass) reason over the whole-program call graph.
+// are the per-package v1 rules; purerun, hotalloc, lockorder and unused
+// (and seedflow's v2 taint pass) reason over the whole-program call graph.
 func AllRules() []Rule {
 	return []Rule{
 		NoDeterm{},
@@ -93,6 +93,7 @@ func AllRules() []Rule {
 		PureRun{},
 		HotAlloc{},
 		LockOrder{},
+		Unused{},
 	}
 }
 

@@ -121,16 +121,6 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	return l.load(path)
 }
 
-// LoadPath loads a module-internal package by import path. Fixture
-// tests use it to analyze a real tree package (e.g. internal/meter)
-// alongside an in-memory fixture: the loader's cache guarantees both
-// see the same *types.Package objects, so cross-package dataflow
-// (parameter identity, interface satisfaction) resolves exactly as it
-// does in a full tree run.
-func (l *Loader) LoadPath(importPath string) (*Package, error) {
-	return l.load(importPath)
-}
-
 func (l *Loader) load(importPath string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
 		return p, nil
@@ -175,27 +165,6 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// CheckSource type-checks a single in-memory file as a package with the
-// given import path — the entry point for the rule fixture tests. The
-// import path matters because several rules scope themselves to specific
-// packages. Fixture packages are not cached, so successive fixtures may
-// reuse a path.
-func (l *Loader) CheckSource(importPath, filename, src string) (*Package, error) {
-	af, err := parser.ParseFile(l.Fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{
-		Path:  importPath,
-		Fset:  l.Fset,
-		Files: []*File{{Name: filename, Src: []byte(src), AST: af}},
-	}
-	if err := l.check(pkg, []*ast.File{af}); err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
 // check runs go/types over the parsed files, populating pkg.Types and
 // pkg.Info. Type errors are hard failures: the rules assume complete
 // type information, and the tree must compile anyway.
@@ -234,13 +203,6 @@ func goFileNames(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// LoadAll loads every package under the module root (the `./...`
-// pattern): any directory holding at least one non-test Go file, skipping
-// hidden directories, testdata, and vendor.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	return l.LoadTree(l.root)
 }
 
 // LoadTree loads every package in the subtree rooted at dir.

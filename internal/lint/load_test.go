@@ -60,7 +60,7 @@ func TestLoaderRejectsBrokenFixtures(t *testing.T) {
 func TestRuleRegistry(t *testing.T) {
 	rules := AllRules()
 	wantNames := []string{"nodeterm", "seedflow", "floateq", "droppederr", "ctxsweep",
-		"purerun", "hotalloc", "lockorder"}
+		"purerun", "hotalloc", "lockorder", "unused"}
 	if len(rules) != len(wantNames) {
 		t.Fatalf("registry has %d rules, want %d", len(rules), len(wantNames))
 	}

@@ -141,6 +141,3 @@ func (p *Program) LookupType(pkgPath, name string) types.Object {
 	}
 	return nil
 }
-
-// PackageOf returns the analyzed package a node belongs to.
-func (p *Program) PackageOf(n *Node) *Package { return n.Pkg }

@@ -20,8 +20,7 @@ import (
 //   - every method named Run on a type implementing
 //     energyprop/internal/device.Device (so new backends are covered the
 //     moment they satisfy the interface);
-//   - the meter's sampling entry points (MeasureRun, MeasureIdle,
-//     BaselineDrift);
+//   - the meter's sampling entry point, (*meter.Meter).MeasureRun;
 //   - functions marked `//lint:root purerun <reason>`.
 //
 // The one structural allowance is sync.Pool scratch: Get/Put recycle
@@ -62,12 +61,6 @@ var pureRunClockCalls = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,
 	"NewTimer": true, "NewTicker": true,
-}
-
-// meterEntryPoints are the sampling functions in internal/meter that sit
-// at the head of every measurement, alongside the Run implementations.
-var meterEntryPoints = map[string]bool{
-	"MeasureRun": true, "MeasureIdle": true, "BaselineDrift": true,
 }
 
 const (
@@ -117,11 +110,13 @@ func deviceRunRoots(prog *Program) []*Node {
 	return roots
 }
 
+// meterRoots returns the meter's sampling entry point, which sits at the
+// head of every measurement alongside the Run implementations.
 func meterRoots(prog *Program) []*Node {
 	var roots []*Node
 	for _, n := range prog.Graph.Nodes {
 		if n.Fn != nil && n.Fn.Pkg() != nil &&
-			n.Fn.Pkg().Path() == "energyprop/internal/meter" && meterEntryPoints[n.Fn.Name()] {
+			n.Fn.Pkg().Path() == "energyprop/internal/meter" && n.Fn.Name() == "MeasureRun" {
 			roots = append(roots, n)
 		}
 	}

@@ -56,14 +56,14 @@ var seedFlowStrict = map[string]bool{
 //
 // The rule's strict mode also covers the memoization layer: memo.Cache
 // keys in the cache-key-scoped packages must flow through a canonical
-// digest helper (memo.Digest or a *Key wrapper), never fmt.Sprintf —
-// see cachekey.go.
+// digest helper (memo.Prefix.Digest or a *Key wrapper), never
+// fmt.Sprintf — see cachekey.go.
 type SeedFlow struct{}
 
 func (SeedFlow) Name() string { return "seedflow" }
 
 func (SeedFlow) Doc() string {
-	return "rand seeds (and seed-conduit arguments) in measurement-pipeline code must carry taint from device.ConfigSeed, never a loop index; memo.Cache keys must flow through memo.Digest, never fmt.Sprintf"
+	return "rand seeds (and seed-conduit arguments) in measurement-pipeline code must carry taint from device.ConfigSeed, never a loop index; memo.Cache keys must flow through memo.Prefix.Digest, never fmt.Sprintf"
 }
 
 // seedSources are the math/rand constructors whose arguments carry seed

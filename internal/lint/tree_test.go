@@ -89,3 +89,10 @@ func TestModuleStaysStdlibOnly(t *testing.T) {
 		t.Fatal("go.sum exists; the module must not resolve external modules")
 	}
 }
+
+// LoadAll loads every package under the module root (the `./...`
+// pattern): any directory holding at least one non-test Go file, skipping
+// hidden directories, testdata, and vendor.
+func (l *Loader) LoadAll() ([]*Package, error) {
+	return l.LoadTree(l.root)
+}

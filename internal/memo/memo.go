@@ -20,11 +20,11 @@
 // from many workers does not serialize on one mutex. Each key maps to
 // exactly one shard, so the singleflight and bit-identity guarantees are
 // unchanged; the LRU bound is enforced per shard (keys distribute
-// uniformly under the digest keys Digest produces), and Stats aggregates
+// uniformly under the digest keys Prefix produces), and Stats aggregates
 // the shard counters. Small caches (under 256 entries per would-be
 // shard) stay single-shard, preserving exact global LRU order.
 //
-// Keys are canonical digests built with Digest: length-prefixed SHA-256
+// Keys are canonical digests built with Prefix: length-prefixed SHA-256
 // over the identity fields. Callers must never concatenate fields by
 // hand (a raw fmt.Sprintf key is an epvet seedflow finding): ambiguous
 // encodings ("ab"+"c" vs "a"+"bc") would alias distinct measurements.
@@ -42,25 +42,20 @@ import (
 	"sync"
 )
 
-// Digest builds a canonical content-addressed cache key from the
+// Prefix builds canonical content-addressed cache keys from the
 // identity fields of a computation: SHA-256 over the length-prefixed
 // field bytes, hex-encoded. Length prefixes make the encoding
 // injective — no two distinct field lists produce the same digest — so
 // a digest-addressed cache can never alias two different measurements.
 //
-//lint:root hotalloc runs once per cache lookup on the serving path; key building must not grow the per-request allocation budget
-func Digest(parts ...string) string {
-	return Prefix{}.Digest(parts...)
-}
-
-// Prefix is a Digest with some of its fields encoded in advance: the
-// leading fields as a saved SHA-256 state, the trailing ones (see
-// WithTail) as their encoded bytes. A caller digesting many keys that
-// differ in one middle field — a campaign's points, which share device,
-// workload and spec — hashes the shared fields once instead of once per
-// key. For all field lists a, b and c,
+// A Prefix holds some of a key's fields encoded in advance: the leading
+// fields as a saved SHA-256 state, the trailing ones (see WithTail) as
+// their encoded bytes. A caller digesting many keys that differ in one
+// middle field — a campaign's points, which share device, workload and
+// spec — hashes the shared fields once instead of once per key. For all
+// field lists a, b and c,
 //
-//	NewPrefix(a...).WithTail(c...).Digest(b...) == Digest(a..., b..., c...)
+//	NewPrefix(a...).WithTail(c...).Digest(b...) == Prefix{}.Digest(a..., b..., c...)
 //
 // The zero Prefix fixes no field. A Prefix is immutable and safe for
 // concurrent use.
@@ -257,7 +252,7 @@ func New[V any](capacity int) *Cache[V] {
 
 // shardFor maps a key to its stripe with inline FNV-1a — cheap,
 // deterministic, and well distributed even over the structured hex keys
-// Digest yields.
+// Prefix.Digest yields.
 func (c *Cache[V]) shardFor(key string) *shard[V] {
 	if len(c.shards) == 1 {
 		return c.shards[0]
@@ -329,22 +324,6 @@ func (s *shard[V]) lead(key string, f *flight[V], fn func() (V, error)) (V, bool
 	return f.val, false, f.err
 }
 
-// Get returns the stored value for key without computing anything. It
-// counts as a hit or miss but never joins an in-flight computation.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.store[key]; ok {
-		s.order.MoveToFront(el)
-		s.hits++
-		return el.Value.(*entry[V]).val, true
-	}
-	s.misses++
-	var zero V
-	return zero, false
-}
-
 // insertLocked stores the value and enforces the shard's LRU bound.
 // Caller holds s.mu.
 func (s *shard[V]) insertLocked(key string, v V) {
@@ -360,17 +339,6 @@ func (s *shard[V]) insertLocked(key string, v V) {
 		delete(s.store, oldest.Value.(*entry[V]).key)
 		s.evictions++
 	}
-}
-
-// Len returns the number of stored entries across all shards.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Stats returns a snapshot of the cache counters, summed across shards.

@@ -479,3 +479,36 @@ func TestPrefixDigestConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Get returns the stored value for key without computing anything. It
+// counts as a hit or miss but never joins an in-flight computation.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.store[key]; ok {
+		s.order.MoveToFront(el)
+		s.hits++
+		return el.Value.(*entry[V]).val, true
+	}
+	s.misses++
+	var zero V
+	return zero, false
+}
+
+// Digest is the canonical key of the whole field list: the reference
+// form every Prefix split must reproduce.
+func Digest(parts ...string) string {
+	return Prefix{}.Digest(parts...)
+}
+
+// Len returns the number of stored entries across all shards.
+func (c *Cache[V]) Len() int {
+	n := 0
+	for _, s := range c.shards {
+		s.mu.Lock()
+		n += s.order.Len()
+		s.mu.Unlock()
+	}
+	return n
+}

@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -207,4 +208,44 @@ func TestDynamicPlusStaticEqualsTotalProperty(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// MeasureIdle samples the node for the given duration with no application
+// running and returns the observed average idle power. It is how a real
+// HCLWattsUp deployment obtains the baseline this meter was constructed
+// with; provided for end-to-end methodology tests.
+func (m *Meter) MeasureIdle(seconds float64) (float64, error) {
+	rep, err := m.MeasureRun(ConstantRun{Seconds: seconds, Watts: m.IdlePowerW})
+	if err != nil {
+		return 0, err
+	}
+	return rep.AvgPowerW, nil
+}
+
+// BaselineDrift measures the idle baseline before and after a campaign
+// window and reports the relative drift — the check real methodology runs
+// to catch background services or thermal creep corrupting the
+// static/dynamic decomposition. ok is false when |drift| exceeds tol
+// (e.g. 0.02 for 2%).
+func (m *Meter) BaselineDrift(beforeSeconds, afterSeconds, tol float64) (driftFrac float64, ok bool, err error) {
+	if tol <= 0 {
+		return 0, false, errors.New("meter: tolerance must be positive")
+	}
+	before, err := m.MeasureIdle(beforeSeconds)
+	if err != nil {
+		return 0, false, err
+	}
+	after, err := m.MeasureIdle(afterSeconds)
+	if err != nil {
+		return 0, false, err
+	}
+	if before <= 0 {
+		return 0, false, errors.New("meter: non-positive baseline")
+	}
+	driftFrac = (after - before) / before
+	mag := driftFrac
+	if mag < 0 {
+		mag = -mag
+	}
+	return driftFrac, mag <= tol, nil
 }

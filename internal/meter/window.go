@@ -5,8 +5,6 @@
 // deep-idle floor is what the node draws when the work is done.
 package meter
 
-import "fmt"
-
 // WindowRun is the race-to-idle power profile: the busy profile plays
 // unchanged, then the node drops to the deep-idle floor until the
 // deadline. Its duration is the deadline window, so a meter sampling it
@@ -21,20 +19,6 @@ type WindowRun struct {
 	// (package C-state floor, typically well below the active-idle
 	// baseline).
 	FloorW float64
-}
-
-// Validate checks the window's invariants.
-func (w WindowRun) Validate() error {
-	if w.Busy == nil {
-		return fmt.Errorf("meter: window run needs a busy profile")
-	}
-	if b := w.Busy.Duration(); w.DeadlineS < b {
-		return fmt.Errorf("meter: deadline %.4gs shorter than busy interval %.4gs", w.DeadlineS, b)
-	}
-	if w.FloorW < 0 {
-		return fmt.Errorf("meter: negative idle floor %.4g W", w.FloorW)
-	}
-	return nil
 }
 
 // Duration implements Run: the deadline window, not the busy interval.
@@ -65,23 +49,6 @@ type PacedRun struct {
 	// PowerScale multiplies the dynamic component (Base power minus
 	// BaselineW); in (0, 1] for a down-clocked run.
 	PowerScale float64
-}
-
-// Validate checks the pacing parameters.
-func (p PacedRun) Validate() error {
-	if p.Base == nil {
-		return fmt.Errorf("meter: paced run needs a base profile")
-	}
-	if p.Stretch < 1 {
-		return fmt.Errorf("meter: stretch %.4g must be >= 1", p.Stretch)
-	}
-	if p.PowerScale <= 0 || p.PowerScale > 1 {
-		return fmt.Errorf("meter: power scale %.4g must be in (0, 1]", p.PowerScale)
-	}
-	if p.BaselineW < 0 {
-		return fmt.Errorf("meter: negative baseline %.4g W", p.BaselineW)
-	}
-	return nil
 }
 
 // Duration implements Run.

@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -129,4 +130,35 @@ func TestWindowRunMeasurable(t *testing.T) {
 	if math.Abs(rep.DynamicEnergyJ-want)/want > 1e-2 {
 		t.Errorf("measured dynamic %g J, want ~%g J", rep.DynamicEnergyJ, want)
 	}
+}
+
+// Validate checks the window's invariants.
+func (w WindowRun) Validate() error {
+	if w.Busy == nil {
+		return fmt.Errorf("meter: window run needs a busy profile")
+	}
+	if b := w.Busy.Duration(); w.DeadlineS < b {
+		return fmt.Errorf("meter: deadline %.4gs shorter than busy interval %.4gs", w.DeadlineS, b)
+	}
+	if w.FloorW < 0 {
+		return fmt.Errorf("meter: negative idle floor %.4g W", w.FloorW)
+	}
+	return nil
+}
+
+// Validate checks the pacing parameters.
+func (p PacedRun) Validate() error {
+	if p.Base == nil {
+		return fmt.Errorf("meter: paced run needs a base profile")
+	}
+	if p.Stretch < 1 {
+		return fmt.Errorf("meter: stretch %.4g must be >= 1", p.Stretch)
+	}
+	if p.PowerScale <= 0 || p.PowerScale > 1 {
+		return fmt.Errorf("meter: power scale %.4g must be in (0, 1]", p.PowerScale)
+	}
+	if p.BaselineW < 0 {
+		return fmt.Errorf("meter: negative baseline %.4g W", p.BaselineW)
+	}
+	return nil
 }

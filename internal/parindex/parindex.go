@@ -20,7 +20,6 @@ package parindex
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -99,21 +98,6 @@ func merge(a, b *node) *node {
 	}
 	b.left = merge(a, b.left)
 	return b
-}
-
-// splitLE splits t into (keys with Time <= cut, keys with Time > cut).
-func splitLE(t *node, cut float64) (le, gt *node) {
-	if t == nil {
-		return nil, nil
-	}
-	if t.e.Time <= cut {
-		l, g := splitLE(t.right, cut)
-		t.right = l
-		return t, g
-	}
-	l, g := splitLE(t.left, cut)
-	t.left = g
-	return l, t
 }
 
 // splitLT splits t into (keys with Time < cut, keys with Time >= cut).
@@ -364,30 +348,6 @@ func (x *Index) Entries(k Key) []Entry {
 		return nil
 	}
 	return f.Entries()
-}
-
-// Keys returns the indexed keys in deterministic (sorted) order.
-func (x *Index) Keys() []Key {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	out := make([]Key, 0, len(x.fronts))
-	for k := range x.fronts {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		if a.App != b.App {
-			return a.App < b.App
-		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		return a.Products < b.Products
-	})
-	return out
 }
 
 // Stats returns a snapshot of the index counters.

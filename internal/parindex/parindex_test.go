@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -296,4 +297,28 @@ func BenchmarkFrontInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Insert(entries[i%len(entries)])
 	}
+}
+
+// Keys returns the indexed keys in deterministic (sorted) order.
+func (x *Index) Keys() []Key {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	out := make([]Key, 0, len(x.fronts))
+	for k := range x.fronts {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Device != b.Device {
+			return a.Device < b.Device
+		}
+		if a.App != b.App {
+			return a.App < b.App
+		}
+		if a.N != b.N {
+			return a.N < b.N
+		}
+		return a.Products < b.Products
+	})
+	return out
 }

@@ -178,12 +178,6 @@ func (d *Device) Name() string { return d.inner.Name() }
 // Kind implements device.Device.
 func (d *Device) Kind() string { return d.inner.Kind() }
 
-// Underlying exposes the wrapped device.
-func (d *Device) Underlying() device.Device { return d.inner }
-
-// Options returns the wrapper's normalized options.
-func (d *Device) Options() Options { return d.opts }
-
 // Spec implements device.Device: the hardware is unchanged, but the
 // node's baseline is the deep-idle floor the policy window settles to.
 func (d *Device) Spec() device.Spec {

@@ -290,3 +290,9 @@ func BenchmarkPolicyRun(b *testing.B) {
 		}
 	}
 }
+
+// Options returns the wrapper's normalized options.
+func (d *Device) Options() Options { return d.opts }
+
+// Underlying exposes the wrapped device.
+func (d *Device) Underlying() device.Device { return d.inner }

@@ -250,44 +250,6 @@ func ChiSquaredCDF(x, k float64) (float64, error) {
 	return GammaP(k/2, x/2)
 }
 
-// ChiSquaredQuantile returns the value x such that ChiSquaredCDF(x, k) = p,
-// found by bisection.
-func ChiSquaredQuantile(p, k float64) (float64, error) {
-	if p <= 0 || p >= 1 {
-		return 0, errors.New("stats: p must be in (0,1)")
-	}
-	if k <= 0 {
-		return 0, errors.New("stats: ChiSquaredQuantile requires k > 0")
-	}
-	lo, hi := 0.0, k
-	for {
-		cdf, err := ChiSquaredCDF(hi, k)
-		if err != nil {
-			return 0, err
-		}
-		if cdf >= p || hi > 1e12 {
-			break
-		}
-		hi *= 2
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		cdf, err := ChiSquaredCDF(mid, k)
-		if err != nil {
-			return 0, err
-		}
-		if cdf < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-12*(1+hi) {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
 // NormalQuantile returns the value x such that NormalCDF(x, mean, sd) = p.
 func NormalQuantile(p, mean, sd float64) (float64, error) {
 	if p <= 0 || p >= 1 {

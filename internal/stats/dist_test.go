@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,4 +224,42 @@ func TestNormalCDFMonotoneProperty(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// ChiSquaredQuantile returns the value x such that ChiSquaredCDF(x, k) = p,
+// found by bisection.
+func ChiSquaredQuantile(p, k float64) (float64, error) {
+	if p <= 0 || p >= 1 {
+		return 0, errors.New("stats: p must be in (0,1)")
+	}
+	if k <= 0 {
+		return 0, errors.New("stats: ChiSquaredQuantile requires k > 0")
+	}
+	lo, hi := 0.0, k
+	for {
+		cdf, err := ChiSquaredCDF(hi, k)
+		if err != nil {
+			return 0, err
+		}
+		if cdf >= p || hi > 1e12 {
+			break
+		}
+		hi *= 2
+	}
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		cdf, err := ChiSquaredCDF(mid, k)
+		if err != nil {
+			return 0, err
+		}
+		if cdf < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		if hi-lo < 1e-12*(1+hi) {
+			break
+		}
+	}
+	return (lo + hi) / 2, nil
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Sample accumulates scalar observations and answers the summary questions
@@ -98,22 +97,6 @@ func (s *Sample) StdErr() float64 {
 	return s.StdDev() / math.Sqrt(float64(len(s.xs)))
 }
 
-// Min returns the smallest observation; it panics on an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		panic("stats: Min of empty sample")
-	}
-	return s.min
-}
-
-// Max returns the largest observation; it panics on an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		panic("stats: Max of empty sample")
-	}
-	return s.max
-}
-
 // CV returns the coefficient of variation (stddev / |mean|), the statistic
 // the weak-EP analyzer uses to judge whether dynamic energy is "a constant"
 // across configurations. It returns +Inf when the mean is zero.
@@ -123,20 +106,6 @@ func (s *Sample) CV() float64 {
 		return math.Inf(1)
 	}
 	return s.StdDev() / math.Abs(m)
-}
-
-// Median returns the median observation, or 0 for an empty sample.
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // ConfidenceHalfWidth returns the half-width of the two-sided Student-t

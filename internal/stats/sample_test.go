@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -144,4 +145,34 @@ func TestSampleVarianceNonNegativeProperty(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Min returns the smallest observation; it panics on an empty sample.
+func (s *Sample) Min() float64 {
+	if len(s.xs) == 0 {
+		panic("stats: Min of empty sample")
+	}
+	return s.min
+}
+
+// Max returns the largest observation; it panics on an empty sample.
+func (s *Sample) Max() float64 {
+	if len(s.xs) == 0 {
+		panic("stats: Max of empty sample")
+	}
+	return s.max
+}
+
+// Median returns the median observation, or 0 for an empty sample.
+func (s *Sample) Median() float64 {
+	n := len(s.xs)
+	if n == 0 {
+		return 0
+	}
+	sorted := s.Values()
+	sort.Float64s(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return (sorted[n/2-1] + sorted[n/2]) / 2
 }

@@ -268,6 +268,3 @@ func (cw *CampaignWriter) Close() error {
 	}
 	return cw.flush(buf.Bytes())
 }
-
-// Err returns the writer's sticky error, if any.
-func (cw *CampaignWriter) Err() error { return cw.err }

@@ -244,3 +244,6 @@ func TestCampaignWriterSinkError(t *testing.T) {
 		t.Fatal("Close after sink error should fail")
 	}
 }
+
+// Err returns the writer's sticky error, if any.
+func (cw *CampaignWriter) Err() error { return cw.err }
